@@ -4,27 +4,55 @@ The recursion partitions the target family by the status of a pivot vertex v
 of maximum residual degree: either v is excluded, or v is in the set with no
 neighbour beside it, or v is in the set next to exactly one neighbour u.  The
 three shapes recurse on G-v, G-N[v] and G-(N[v] u N[u]) respectively.  Once
-the residual graph has maximum degree <= 1 it is swallowed whole.  Leaf
-candidates may be non-maximal in the original graph or duplicated across
-branches; a final maximality filter plus deduplication restores exactness.
+the residual graph has maximum degree <= 1 it is swallowed whole.  Like the X
+set of Bron-Kerbosch, the recursion carries the excluded vertices that the
+final set must still block (give two neighbours in the set, or one neighbour
+that already has its partner) and cuts a branch as soon as one of them no
+longer can be.  Every leaf is therefore a distinct maximal set, and no filter
+or deduplication follows the search.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import Graph, check_enumeration_order
 from .oracle import DissociationFamily, _members
 
 
-def candidate_masks(order: int, adj: Sequence[int]) -> list[int]:
-    """Raw recursion leaves: dissociation sets covering every maximal one."""
-    out: list[int] = []
-    app = out.append
+def _search(
+    adj: Sequence[int], rmask: int, leaf: Callable[[int], int], maximal: bool = True
+) -> None:
+    """Call `leaf` once with each maximal dissociation set of the subgraph
+    induced by `rmask`.
 
-    def rec(rmask: int, partial: int) -> None:
+    `leaf` returns the least set size still wanted; branches whose taken plus
+    residual vertices fall short of it are cut.  With `maximal` false the
+    excluded vertices are not tracked, so leaves may also be non-maximal sets.
+    A size-bounded search wants that: its floor already cuts most branches and
+    tracking would cost more than it saves.
+    """
+    floor = 0
+    track = -1 if maximal else 0
+
+    def rec(rmask: int, partial: int, x: int) -> None:
+        nonlocal floor
+        # x holds the excluded vertices that the final set must still block.
+        # No residual vertex neighbours a taken one, so taken degrees are final.
+        m = x
+        while m:
+            wb = m & -m
+            m ^= wb
+            nw = adj[wb.bit_length() - 1]
+            t = nw & partial
+            if t and (t & (t - 1) or adj[t.bit_length() - 1] & partial):
+                x ^= wb  # blocked for good
+                continue
+            r = nw & rmask
+            if not r or (not t and not r & (r - 1) and not adj[r.bit_length() - 1] & rmask):
+                return  # w can never be blocked: every leaf below is non-maximal
         best_v = -1
         best_d = 1
         m = rmask
@@ -37,45 +65,56 @@ def candidate_masks(order: int, adj: Sequence[int]) -> list[int]:
                 best_d = d
                 best_v = v
         if best_v < 0:
-            # residual max degree <= 1: isolated vertices and lone edges all go in
-            app(partial | rmask)
+            # Residual max degree <= 1: isolated vertices and lone edges all go
+            # in.  Each w left in x has a residual neighbour and also a second
+            # neighbour in the set, or a lone residual neighbour whose partner
+            # goes in too, so the set blocks w and is maximal.
+            floor = leaf(partial | rmask)
             return
         vb = 1 << best_v
         nv = adj[best_v] & rmask
-        rec(rmask & ~vb, partial)
-        rec(rmask & ~(nv | vb), partial | vb)
+        size = (partial | rmask).bit_count()
+        if size > floor:
+            rec(rmask & ~vb, partial, x | vb & track)
+        if size - best_d >= floor:
+            rec(rmask & ~(nv | vb), partial | vb, x | nv & track)
         m = nv
         while m:
             ub = m & -m
             m ^= ub
             nu = adj[ub.bit_length() - 1] & rmask
-            rec(rmask & ~(nv | nu | vb | ub), partial | vb | ub)
+            # every other neighbour of v or u sees the pair, so it is blocked
+            cr = rmask & ~(nv | nu | vb | ub)
+            if (partial | cr).bit_count() + 2 >= floor:
+                rec(cr, partial | vb | ub, x)
 
-    rec((1 << order) - 1, 0)
+    rec(rmask, 0, 0)
+
+
+def candidate_masks(order: int, adj: Sequence[int], within: int | None = None) -> list[int]:
+    """Search leaves: each maximal dissociation set exactly once, unordered.
+
+    `within` restricts the search to the subgraph induced by that vertex
+    bitmask (all vertices by default).
+    """
+    out: list[int] = []
+    app = out.append
+
+    def leaf(f: int) -> int:
+        app(f)
+        return 0
+
+    _search(adj, (1 << order) - 1 if within is None else within, leaf)
     return out
 
 
-def maximal_masks(order: int, adj: Sequence[int]) -> list[int]:
-    """All maximal dissociation sets as bitmasks, deduplicated, ascending.
+def maximal_masks(order: int, adj: Sequence[int], within: int | None = None) -> list[int]:
+    """All maximal dissociation sets as bitmasks, ascending.
 
     Low-level entry point used by the exhaustive sweeps; `enumerate_maximal`
     wraps the result in a DissociationFamily.
     """
-    full = (1 << order) - 1
-    keep = set()
-    for f in candidate_masks(order, adj):
-        rest = full & ~f
-        ok = True
-        while rest:
-            wb = rest & -rest
-            rest ^= wb
-            t = adj[wb.bit_length() - 1] & f
-            if t == 0 or (t & (t - 1) == 0 and adj[t.bit_length() - 1] & f == 0):
-                ok = False
-                break
-        if ok:
-            keep.add(f)
-    return sorted(keep)
+    return sorted(candidate_masks(order, adj, within))
 
 
 @dataclass(frozen=True)
@@ -102,20 +141,40 @@ class CountResult:
         return {"phi": self.phi, "phi_max": self.phi_max, "psi": self.psi}
 
 
+def _component_families(g: Graph) -> list[list[int]]:
+    """The maximal dissociation sets of each connected component of g.
+
+    A maximal set of g is exactly a union of one maximal set per component,
+    so callers combine the parts instead of searching g as a whole.
+    """
+    return [maximal_masks(g.order, g.adj, comp) for comp in g.components()]
+
+
 def enumerate_maximal(g: Graph) -> DissociationFamily:
     """Exactly the maximal dissociation sets of g, in canonical family order."""
     check_enumeration_order(g.order)
-    return DissociationFamily.from_masks(g.order, maximal_masks(g.order, g.adj))
+    masks = [0]
+    for part in _component_families(g):
+        masks = [a | b for a in masks for b in part]
+    return DissociationFamily.from_masks(g.order, masks)
 
 
 def count(g: Graph) -> CountResult:
-    """phi / phi_max / psi of g via the branching enumerator."""
+    """phi / phi_max / psi of g via the branching enumerator.
+
+    phi and phi_max multiply over the connected components and psi adds.
+    """
     check_enumeration_order(g.order)
     t0 = time.perf_counter()
-    masks = maximal_masks(g.order, g.adj)
-    psi = max((m.bit_count() for m in masks), default=0)
-    phi_max = sum(1 for m in masks if m.bit_count() == psi)
-    return CountResult(len(masks), phi_max, psi, time.perf_counter() - t0)
+    phi = phi_max = 1
+    psi = 0
+    for part in _component_families(g):
+        sizes = [m.bit_count() for m in part]
+        top = max(sizes)
+        phi *= len(sizes)
+        phi_max *= sizes.count(top)
+        psi += top
+    return CountResult(phi, phi_max, psi, time.perf_counter() - t0)
 
 
 def classify_by_pivot(g: Graph, v: int) -> PivotPartition:
@@ -147,46 +206,25 @@ def _lex_less(a: int, b: int) -> bool:
 def maximum_dissociation_set(g: Graph) -> set[int]:
     """The lexicographically least dissociation set of maximum size.
 
-    Reuses the branching recursion, pruning branches whose partial set plus
-    entire residual cannot reach the incumbent size.
+    Every maximum set is maximal, so the enumerator's search finds them all;
+    once a set is found, branches that cannot reach its size are cut.  The
+    answer is the union of each connected component's answer: sizes add, and
+    the least vertex where two maximum sets differ decides within one part.
     """
     check_enumeration_order(g.order)
-    adj = g.adj
-    best_size = -1
-    best_mask = 0
+    out = 0
+    for comp in g.components():
+        best_size = -1
+        best_mask = 0
 
-    def rec(rmask: int, partial: int) -> None:
-        nonlocal best_size, best_mask
-        if partial.bit_count() + rmask.bit_count() < best_size:
-            return
-        best_v = -1
-        best_d = 1
-        m = rmask
-        while m:
-            vb = m & -m
-            m ^= vb
-            v = vb.bit_length() - 1
-            d = (adj[v] & rmask).bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = v
-        if best_v < 0:
-            cand = partial | rmask
-            size = cand.bit_count()
-            if size > best_size or (size == best_size and _lex_less(cand, best_mask)):
+        def leaf(f: int) -> int:
+            nonlocal best_size, best_mask
+            size = f.bit_count()
+            if size > best_size or (size == best_size and _lex_less(f, best_mask)):
                 best_size = size
-                best_mask = cand
-            return
-        vb = 1 << best_v
-        nv = adj[best_v] & rmask
-        rec(rmask & ~vb, partial)
-        rec(rmask & ~(nv | vb), partial | vb)
-        m = nv
-        while m:
-            ub = m & -m
-            m ^= ub
-            nu = adj[ub.bit_length() - 1] & rmask
-            rec(rmask & ~(nv | nu | vb | ub), partial | vb | ub)
+                best_mask = f
+            return best_size
 
-    rec((1 << g.order) - 1, 0)
-    return set(_members(best_mask))
+        _search(g.adj, comp, leaf, maximal=False)
+        out |= best_mask
+    return set(_members(out))

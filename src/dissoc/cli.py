@@ -244,7 +244,7 @@ def _cmd_verify(args) -> int:
                 reports.append(verify_recurrences(pivot_trials=args.trials, seed=args.seed))
             elif suite == "paths-cycles":
                 reports.append(verify_path_cycle_bounds(n_max=args.n_max))
-    except SweepRefusedError as exc:
+    except (SweepRefusedError, UnsupportedSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=3,
                    help="largest block count for family tables (default 3)")
     p.add_argument("--n-max", type=int, default=20,
-                   help="largest path/cycle length (default 20)")
+                   help=f"largest path/cycle length (default 20, "
+                        f"at most {ENUMERATION_ORDER_CAP})")
     p.add_argument("--trials", type=int, default=200,
                    help="random graphs for the recurrence suite (default 200)")
     p.set_defaults(func=_cmd_verify)

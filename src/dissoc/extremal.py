@@ -8,9 +8,9 @@ claims: closed-form family values, the 10^(n/5) and 6^(n/4) bounds with their
 equality characterizations, the per-pivot counting recurrences, and the
 path/cycle bounds.
 
-Bound comparisons put exact integers on the left and floats on the right with
-a 1e-9 relative guard; equality claims are decided in exact integer
-arithmetic whenever the bound is an integer power.
+Bound checks are exact integer comparisons: phi <= 10^(n/5) is decided as
+phi^5 <= 10^n, phi <= 6^(n/4) as phi^4 <= 6^n, and phi < 0.81 * 6^(n/4) as
+100^4 * phi^4 < 81^4 * 6^n.  The float constants in BOUNDS only label output.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .graph6 import serialize_graph6
 from .graphs import (
     Graph,
     UnsupportedSizeError,
+    check_enumeration_order,
     complete_bipartite_graph,
     cycle_graph,
     delete_vertices,
@@ -40,7 +41,6 @@ from .graphs import (
     path_graph,
 )
 
-REL_GUARD = 1e-9
 SWEEP_FULL_ORDER_CAP = 7
 SWEEP_LONG_ORDER_CAP = 8
 EDGE_PROBABILITIES = (0.2, 0.5, 0.8)
@@ -63,12 +63,19 @@ class BoundConstants:
 BOUNDS = BoundConstants()
 
 
-def _le(value: int, bound: float) -> bool:
-    return value <= bound * (1.0 + REL_GUARD)
+def _within_general_bound(phi: int, order: int) -> bool:
+    """phi <= 10^(n/5), exactly."""
+    return phi ** 5 <= 10 ** order
 
 
-def _lt(value: int, bound: float) -> bool:
-    return value < bound * (1.0 - REL_GUARD)
+def _within_triangle_free_bound(phi: int, order: int) -> bool:
+    """phi <= 6^(n/4), exactly."""
+    return phi ** 4 <= 6 ** order
+
+
+def _below_path_bound(phi: int, order: int) -> bool:
+    """phi < 0.81 * 6^(n/4), exactly."""
+    return 100 ** 4 * phi ** 4 < 81 ** 4 * 6 ** order
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +568,14 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[dict]:
                     f"order {order}: phi'={phi_max} > phi={phi}",
                     graph6=serialize_mask(order, mask),
                 )
-            if not _le(phi, alpha_bound):
+            if not _within_general_bound(phi, order):
                 report.expect(
                     False,
                     "general-bound",
                     f"order {order}: phi={phi} > 10^(n/5)={alpha_bound:.6f}",
                     graph6=serialize_mask(order, mask),
                 )
-            if is_tf and not _le(phi, beta_bound):
+            if is_tf and not _within_triangle_free_bound(phi, order):
                 report.expect(
                     False,
                     "triangle-free-bound",
@@ -687,10 +694,10 @@ def verify_asymptotic_bounds(
             spot += 1
             ok = (
                 result.phi_max <= result.phi
-                and _le(result.phi, BOUNDS.alpha ** order)
+                and _within_general_bound(result.phi, order)
                 and (
                     not is_triangle_free(g.order, g.adj)
-                    or _le(result.phi, BOUNDS.beta ** order)
+                    or _within_triangle_free_bound(result.phi, order)
                 )
             )
             report.expect(
@@ -705,7 +712,7 @@ def verify_asymptotic_bounds(
         result = count(g)
         spot += 1
         report.expect(
-            _le(result.phi, BOUNDS.beta ** bipartite_spot_order),
+            _within_triangle_free_bound(result.phi, bipartite_spot_order),
             "bipartite-spot-bound",
             f"random bipartite graph order {bipartite_spot_order} trial {trial}: "
             f"phi={result.phi} > 6^(n/4)",
@@ -886,40 +893,27 @@ def verify_recurrences(
 def verify_path_cycle_bounds(n_max: int = 20) -> VerificationReport:
     """phi(P_n) < 0.81 * 6^(n/4) for n up to n_max, and phi(C_n) <= 6^(n/4)
     with equality exactly at n = 4."""
-    if n_max > 20:
-        raise ValueError(f"path/cycle bound verification runs up to n=20, got {n_max}")
+    check_enumeration_order(n_max)
     t0 = time.perf_counter()
     report = VerificationReport(suite="paths-cycles")
     paths = []
     for n in range(1, n_max + 1):
         phi = count(path_graph(n)).phi
-        bound = BOUNDS.path_coefficient * BOUNDS.beta ** n
         report.expect(
-            _lt(phi, bound),
+            _below_path_bound(phi, n),
             "path-bound",
-            f"phi(P_{n})={phi} is not strictly below 0.81 * 6^(n/4)={bound:.6f}",
+            f"phi(P_{n})={phi} is not strictly below 0.81 * 6^(n/4)="
+            f"{BOUNDS.path_coefficient * BOUNDS.beta ** n:.6f}",
         )
         paths.append({"n": n, "phi": phi})
     cycles = []
     for n in range(3, n_max + 1):
         phi = count(cycle_graph(n)).phi
-        if n % 4 == 0:
-            power = 6 ** (n // 4)
-            if n == 4:
-                report.expect(
-                    phi == power,
-                    "cycle-equality",
-                    f"phi(C_4)={phi}, expected exactly {power}",
-                )
-            else:
-                report.expect(
-                    phi < power,
-                    "cycle-bound",
-                    f"phi(C_{n})={phi} is not strictly below 6^(n/4)={power}",
-                )
+        if n == 4:
+            report.expect(phi == 6, "cycle-equality", f"phi(C_4)={phi}, expected exactly 6")
         else:
             report.expect(
-                _lt(phi, BOUNDS.beta ** n),
+                phi ** 4 < 6 ** n,
                 "cycle-bound",
                 f"phi(C_{n})={phi} is not strictly below 6^(n/4)={BOUNDS.beta ** n:.6f}",
             )

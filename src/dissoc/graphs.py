@@ -126,10 +126,11 @@ class Graph:
                 m &= m - 1
                 yield (i, j)
 
-    def component_count(self) -> int:
+    def components(self) -> list[int]:
+        """Vertex bitmasks of the connected components, by least vertex."""
         seen = 0
         full = (1 << self.order) - 1
-        parts = 0
+        parts = []
         while seen != full:
             start = (~seen & full) & -(~seen & full)
             frontier = start
@@ -144,8 +145,11 @@ class Graph:
                     nxt |= self.adj[v]
                 frontier = nxt & ~comp
             seen |= comp
-            parts += 1
+            parts.append(comp)
         return parts
+
+    def component_count(self) -> int:
+        return len(self.components())
 
     def is_connected(self) -> bool:
         return self.order <= 1 or self.component_count() == 1

@@ -78,8 +78,8 @@ class DissociationFamily:
 
     @classmethod
     def from_masks(cls, order: int, masks: Iterable[int]) -> "DissociationFamily":
-        keyed = sorted({m for m in masks}, key=lambda m: (m.bit_count(), _members(m)))
-        return cls(order, tuple(frozenset(_members(m)) for m in keyed))
+        keyed = sorted((m.bit_count(), _members(m)) for m in set(masks))
+        return cls(order, tuple(frozenset(members) for _, members in keyed))
 
     def masks(self) -> list[int]:
         out = []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dissoc import (
     Graph,
@@ -24,6 +25,7 @@ from dissoc import (
     neighborhood,
     path_graph,
 )
+from dissoc.branching import candidate_masks
 
 from strategies import graphs
 
@@ -185,3 +187,49 @@ def test_strengthened_pivot_recurrence_on_k5():
     part = classify_by_pivot(g, 0)
     assert part.degree0_count == 0
     assert count(g).phi == count(complete_graph(4)).phi + 4 * 1
+
+
+def _oracle_masks(g):
+    return enumerate_maximal_bruteforce(g).masks()
+
+
+def test_leaves_are_the_oracle_family_on_all_graphs_up_to_order_5():
+    for n in range(6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = Graph.from_edge_mask(n, mask)
+            leaves = candidate_masks(g.order, g.adj)
+            assert len(leaves) == len(set(leaves))
+            assert sorted(leaves) == sorted(_oracle_masks(g))
+
+
+@settings(deadline=None)
+@given(graphs(max_order=9))
+def test_leaves_are_distinct_and_maximal(g):
+    leaves = candidate_masks(g.order, g.adj)
+    assert len(leaves) == len(set(leaves))
+    assert sorted(leaves) == sorted(_oracle_masks(g))
+
+
+@settings(deadline=None)
+@given(graphs(max_order=6), graphs(max_order=6))
+def test_count_multiplies_over_a_disjoint_union(a, b):
+    ca, cb = count(a), count(b)
+    cu = count(disjoint_union(a, b))
+    assert cu.phi == ca.phi * cb.phi
+    assert cu.phi_max == ca.phi_max * cb.phi_max
+    assert cu.psi == ca.psi + cb.psi
+
+
+@settings(deadline=None)
+@given(graphs(min_order=1, max_order=10), st.randoms(use_true_random=False))
+def test_count_is_invariant_under_relabelling(g, rng):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    h = Graph.from_edges(g.order, [(perm[i], perm[j]) for i, j in g.edges()])
+    assert count(h).as_dict() == count(g).as_dict()
+
+
+def test_count_of_the_largest_path_and_cycle():
+    # transfer-matrix values, independent of the branching search
+    assert count(path_graph(32)).as_dict() == {"phi": 39249, "phi_max": 1, "psi": 22}
+    assert count(cycle_graph(32)).as_dict() == {"phi": 48830, "phi_max": 32, "psi": 21}

@@ -28,8 +28,11 @@ from dissoc import (
 )
 from dissoc.extremal import (
     VerificationReport,
+    _below_path_bound,
     _bipartite_flags,
     _triangle_free_flags,
+    _within_general_bound,
+    _within_triangle_free_bound,
 )
 
 import numpy as np
@@ -42,6 +45,15 @@ def test_bound_constants():
     assert abs(BOUNDS.beta - 1.5650845800732873) < 1e-12
     assert BOUNDS.alpha > BOUNDS.beta
     assert BOUNDS.path_coefficient == 0.81
+
+
+def test_exact_bound_checks_at_their_equality_cases():
+    # 2K5 has 100 = 10^(10/5) maximal sets and 2C4 has 36 = 6^(8/4)
+    assert _within_general_bound(100, 10) and not _within_general_bound(101, 10)
+    assert _within_triangle_free_bound(36, 8) and not _within_triangle_free_bound(37, 8)
+    # 0.81 * 6^(4/4) = 4.86 and 0.81 * 6^(8/4) = 29.16
+    assert _below_path_bound(4, 4) and not _below_path_bound(5, 4)
+    assert _below_path_bound(29, 8) and not _below_path_bound(30, 8)
 
 
 def test_triangle_free_predicate():
@@ -166,6 +178,11 @@ def test_path_cycle_bounds_small():
     assert cycles[4] == 6  # the unique equality case
     paths = {row["n"]: row["phi"] for row in report.details["paths"]}
     assert paths[3] == 3
+
+
+def test_path_cycle_bounds_stop_at_the_enumeration_cap():
+    with pytest.raises(UnsupportedSizeError):
+        verify_path_cycle_bounds(n_max=33)
 
 
 def test_recurrences_small():
