@@ -46,7 +46,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     delete_vertices,
-    delete_vertices_mapped,
     disjoint_union,
     k_star_graph,
     neighborhood,
@@ -95,7 +94,6 @@ __all__ = [
     "count_maximum_bruteforce",
     "cycle_graph",
     "delete_vertices",
-    "delete_vertices_mapped",
     "disjoint_union",
     "dissociation_number",
     "enumerate_maximal",

@@ -30,6 +30,7 @@ from .graphs import (
     FamilySpecError,
     UnsupportedSizeError,
     build,
+    check_enumeration_order,
 )
 
 VERIFY_SUITES = ("bounds", "families", "recurrences", "paths-cycles", "all")
@@ -106,10 +107,7 @@ def _parse_lines(source: str | None) -> tuple[list[tuple[int, str, object]], lis
     for lineno, text in _read_graph_lines(source):
         try:
             g = parse_graph6(text)
-            if g.order > ENUMERATION_ORDER_CAP:
-                raise UnsupportedSizeError(
-                    f"order {g.order} exceeds the enumeration cap of {ENUMERATION_ORDER_CAP}"
-                )
+            check_enumeration_order(g.order)
         except (Graph6Error, UnsupportedSizeError) as exc:
             errors.append({"line": lineno, "error": str(exc)})
             continue
@@ -132,13 +130,22 @@ def _print_csv(rows: list[dict], columns: Sequence[str]) -> None:
         writer.writerow([r.get(c, "") for c in columns])
 
 
-def _emit_rows(fmt: str, command: str, rows: list[dict], columns: Sequence[str], errors: list[dict]) -> None:
+def _emit_json_or_errors(fmt: str, command: str, rows: list[dict], errors: list[dict]) -> bool:
+    """Write the whole JSON document and return True for --format json;
+    otherwise report the per-line errors on stderr and return False, leaving
+    stdout to the caller's csv or table layout."""
     if fmt == "json":
         json.dump({"command": command, "results": rows, "errors": errors}, sys.stdout, indent=2)
         print()
-        return
+        return True
     for err in errors:
         print(f"line {err['line']}: {err['error']}", file=sys.stderr)
+    return False
+
+
+def _emit_rows(fmt: str, command: str, rows: list[dict], columns: Sequence[str], errors: list[dict]) -> None:
+    if _emit_json_or_errors(fmt, command, rows, errors):
+        return
     if fmt == "csv":
         _print_csv(rows, columns)
     else:
@@ -171,13 +178,7 @@ def _cmd_enumerate(args) -> int:
             {"graph6": text, "n": g.order, "phi": len(family),
              "truncated": truncated, "sets": shown}
         )
-    if args.format == "json":
-        json.dump({"command": "enumerate", "results": results, "errors": errors},
-                  sys.stdout, indent=2)
-        print()
-    else:
-        for err in errors:
-            print(f"line {err['line']}: {err['error']}", file=sys.stderr)
+    if not _emit_json_or_errors(args.format, "enumerate", results, errors):
         if args.format == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(("graph6", "set_index", "size", "vertices"))

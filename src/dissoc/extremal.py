@@ -1,12 +1,15 @@
 """Exhaustive desk-scale verification of dissociation-set extremal facts.
 
-Sweeps iterate every labeled graph of a given order by edge bitmask, filter by
-graph class (triangle-free / bipartite / connected), compute phi or phi' via
-the branching enumerator, and report the maximum together with all attaining
-graphs up to isomorphism.  The verify_* operations package the checkable
-claims: closed-form family values, the 10^(n/5) and 6^(n/4) bounds with their
-equality characterizations, the per-pivot counting recurrences, and the
-path/cycle bounds.
+Sweeps generate the labeled graphs of a given order one vertex at a time, so
+only graphs of the requested class (triangle-free / bipartite / connected) are
+ever built, compute phi or phi' via the branching enumerator, and report the
+maximum together with all attaining graphs up to isomorphism.  A sweep is
+split into one task per admitted graph on its first order-2 vertices; the
+tasks run in turn or on a process pool.  The bounds suite scans every graph
+of each order with the same generator.  The verify_* operations package the
+checkable claims: closed-form family values, the 10^(n/5) and 6^(n/4) bounds
+with their equality characterizations, the per-pivot counting recurrences,
+and the path/cycle bounds.
 
 Bound checks are exact integer comparisons: phi <= 10^(n/5) is decided as
 phi^5 <= 10^n, phi <= 6^(n/4) as phi^4 <= 6^n, and phi < 0.81 * 6^(n/4) as
@@ -17,11 +20,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Sequence
 
 from .branching import count, classify_by_pivot, maximal_masks
 from .canonical import canonical_form
@@ -35,7 +36,6 @@ from .graphs import (
     delete_vertices,
     disjoint_union,
     edge_index,
-    edge_pairs,
     k_star_graph,
     neighborhood,
     path_graph,
@@ -44,7 +44,6 @@ from .graphs import (
 SWEEP_FULL_ORDER_CAP = 7
 SWEEP_LONG_ORDER_CAP = 8
 EDGE_PROBABILITIES = (0.2, 0.5, 0.8)
-_CHUNK = 1 << 20
 
 
 class SweepRefusedError(RuntimeError):
@@ -170,89 +169,77 @@ def random_bipartite_graph(rng: random.Random, order: int, p: float) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# vectorized labeled-graph scanning
+# labeled-graph generation by vertex addition
 # ---------------------------------------------------------------------------
 
-def _triangle_masks(order: int) -> list[int]:
-    return [
-        (1 << edge_index(a, b)) | (1 << edge_index(a, c)) | (1 << edge_index(b, c))
-        for a, b, c in combinations(range(order), 3)
-    ]
+def _graphs(
+    order: int, filt: SweepFilter, j: int = 0, adj: tuple[int, ...] = (), mask: int = 0
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (edge mask, adjacency) for every labeled graph on `order` vertices
+    that `filt` admits and whose first j vertices induce the graph (mask, adj).
 
-
-def _bipartition_intra_masks(order: int) -> list[int]:
-    out = []
-    for assignment in range(1 << max(0, order - 1)):
-        colors = [0] + [(assignment >> (i - 1)) & 1 for i in range(1, order)]
-        intra = 0
-        for i, j in combinations(range(order), 2):
-            if colors[i] == colors[j]:
-                intra |= 1 << edge_index(i, j)
-        out.append(intra)
-    return out
-
-
-def _triangle_free_flags(order: int, masks: np.ndarray) -> np.ndarray:
-    ok = np.ones(masks.shape, dtype=bool)
-    for t in _triangle_masks(order):
-        ok &= (masks & t) != t
-    return ok
-
-
-def _bipartite_flags(order: int, masks: np.ndarray) -> np.ndarray:
-    ok = np.zeros(masks.shape, dtype=bool)
-    for intra in _bipartition_intra_masks(order):
-        ok |= (masks & intra) == 0
-    return ok
-
-
-def _adjacency_of_mask(order: int, mask: int, pairs: list[tuple[int, int]]) -> list[int]:
-    adj = [0] * order
-    while mask:
-        k = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        i, j = pairs[k]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
-
-
-def _quantity_of_masks(family: list[int], quantity: str) -> int:
-    if quantity == "phi":
-        return len(family)
-    psi = 0
-    for m in family:
-        c = m.bit_count()
-        if c > psi:
-            psi = c
-    return sum(1 for m in family if m.bit_count() == psi)
-
-
-def _scan_chunk(args: tuple) -> tuple[int, int, list[int]]:
-    """Scan edge masks [lo, hi): returns (admitted, best value, witness masks)."""
-    order, filt, quantity, lo, hi = args
-    masks = np.arange(lo, hi, dtype=np.uint64)
-    if filt.triangle_free:
-        masks = masks[_triangle_free_flags(order, masks)]
-    if filt.bipartite:
-        masks = masks[_bipartite_flags(order, masks)]
-    pairs = edge_pairs(order)
-    admitted = 0
-    best = -1
-    witnesses: list[int] = []
-    need_connected = filt.connected_only
-    for mask in masks.tolist():
-        adj = _adjacency_of_mask(order, mask, pairs)
-        if need_connected and not Graph(order, tuple(adj)).is_connected():
+    Vertex j joins with a lower neighbourhood s, a subset of 0..j-1; its edges
+    are the mask bits from edge_index(0, j) on, so s shifts in whole.  Both
+    class filters are hereditary, so every prefix is pruned; connectivity is
+    decided at full order.
+    """
+    if j == order:
+        if not filt.connected_only or Graph(order, adj).is_connected():
+            yield mask, adj
+        return
+    bit = 1 << j
+    shift = edge_index(0, j)
+    # triangle-free and bipartite graphs need s independent; reach[s] holds
+    # the vertices with a neighbour in s
+    independent = filt.triangle_free or filt.bipartite
+    reach = [0]
+    for i in range(j if independent else 0):
+        reach += [r | adj[i] for r in reach]
+    for s in range(1 << j):
+        if independent and reach[s] & s:
             continue
+        grown = tuple(row | bit if s >> i & 1 else row for i, row in enumerate(adj)) + (s,)
+        if filt.bipartite and not is_bipartite(j + 1, grown):
+            continue
+        yield from _graphs(order, filt, j + 1, grown, mask | s << shift)
+
+
+def _phi_pair(order: int, adj: Sequence[int]) -> tuple[int, int]:
+    """(phi, phi') of one graph."""
+    sizes = [m.bit_count() for m in maximal_masks(order, adj)]
+    return len(sizes), sizes.count(max(sizes))
+
+
+@dataclass
+class _Best:
+    """Running maximum of one quantity and the edge masks attaining it."""
+
+    value: int = -1
+    masks: list[int] = field(default_factory=list)
+
+    def add(self, value: int, masks: Sequence[int]) -> None:
+        if value > self.value:
+            self.value, self.masks = value, list(masks)
+        elif value == self.value:
+            self.masks.extend(masks)
+
+    def classes(self, order: int) -> list[str]:
+        """Canonical graph6 strings of the attaining isomorphism classes."""
+        return sorted({canonical_form(Graph.from_edge_mask(order, m)) for m in self.masks})
+
+
+def _scan_head(args: tuple) -> tuple[int, _Best]:
+    """Extend one admitted graph on the first vertices to every admitted graph
+    of full order: returns (graphs admitted, maximum of the quantity with its
+    witness masks)."""
+    order, filt, quantity, (mask, adj) = args
+    pick = ("phi", "phi_max").index(quantity)
+    admitted = 0
+    best = _Best()
+    for m, a in _graphs(order, filt, len(adj), adj, mask):
         admitted += 1
-        val = _quantity_of_masks(maximal_masks(order, adj), quantity)
-        if val > best:
-            best = val
-            witnesses = [mask]
-        elif val == best:
-            witnesses.append(mask)
-    return admitted, best, witnesses
+        best.add(_phi_pair(order, a)[pick], (m,))
+    return admitted, best
 
 
 @dataclass(frozen=True)
@@ -305,49 +292,41 @@ def sweep(
     *,
     allow_long: bool = False,
     workers: int = 1,
-    chunk_size: int = _CHUNK,
 ) -> ExtremalRecord:
-    """Scan all 2^C(order,2) labeled graphs and record the maximum quantity.
+    """Scan every labeled graph of `order` that `filt` admits and record the
+    maximum quantity.
 
-    graphs_scanned counts the graphs admitted by the filter.  The edge-mask
-    range is processed in chunks; with workers > 1 the chunks are distributed
-    over a process pool, and the merge is order-independent, so the record is
-    identical for any partitioning.
+    graphs_scanned counts the graphs admitted by the filter.  The admitted
+    graphs on the first order-2 vertices are built first, and each one is a
+    task that extends it to full order; with workers > 1 the tasks are
+    distributed over a process pool.  The merge is order-independent, so the
+    record is identical for any worker count.
     """
     if quantity not in ("phi", "phi_max"):
         raise ValueError(f"quantity must be 'phi' or 'phi_max', got {quantity!r}")
     _check_sweep_order(order, allow_long)
     t0 = time.perf_counter()
-    total = 1 << (order * (order - 1) // 2)
-    chunks = [
-        (order, filt, quantity, lo, min(lo + chunk_size, total))
-        for lo in range(0, total, chunk_size)
-    ]
-    if workers > 1 and len(chunks) > 1:
+    heads = _graphs(max(order - 2, 0), replace(filt, connected_only=False))
+    tasks = [(order, filt, quantity, head) for head in heads]
+    if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_scan_chunk, chunks)
+            results = pool.map(_scan_head, tasks)
     else:
-        results = [_scan_chunk(c) for c in chunks]
+        results = map(_scan_head, tasks)
 
     scanned = 0
-    best = -1
-    witnesses: list[int] = []
-    for admitted, chunk_best, chunk_wit in results:
+    best = _Best()
+    for admitted, part in results:
         scanned += admitted
-        if chunk_best > best:
-            best = chunk_best
-            witnesses = list(chunk_wit)
-        elif chunk_best == best:
-            witnesses.extend(chunk_wit)
-    classes = sorted({canonical_form(Graph.from_edge_mask(order, m)) for m in witnesses})
+        best.add(part.value, part.masks)
     return ExtremalRecord(
         order=order,
         filter=filt,
         quantity=quantity,
-        max_value=best,
-        extremal_canonical=tuple(classes),
+        max_value=best.value,
+        extremal_canonical=tuple(best.classes(order)),
         graphs_scanned=scanned,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
@@ -526,114 +505,87 @@ def _expected_order8_classes() -> set[str]:
 
 def _scan_bounds_order(order: int, report: VerificationReport) -> list[dict]:
     """Full labeled-graph scan at one order: bound checks plus extremal records."""
-    pairs = edge_pairs(order)
     alpha_bound = BOUNDS.alpha ** order
     beta_bound = BOUNDS.beta ** order
-    total = 1 << (order * (order - 1) // 2)
-
     tracked = {
-        ("all", "phi"): [-1, []],
-        ("all", "phi_max"): [-1, []],
-        ("triangle-free", "phi"): [-1, []],
-        ("triangle-free", "phi_max"): [-1, []],
+        (class_label, quantity): _Best()
+        for class_label in ("all", "triangle-free")
+        for quantity in ("phi", "phi_max")
     }
-    eq_general: dict[str, list[int]] = {"phi": [], "phi_max": []}
-    eq_tf: dict[str, list[int]] = {"phi": [], "phi_max": []}
-    general_power = 10 ** (order // 5) if order % 5 == 0 else None
-    tf_power = 6 ** (order // 4) if order % 4 == 0 else None
     scanned = 0
+    stray = 0
 
-    for lo in range(0, total, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
-        tf_flags = _triangle_free_flags(order, masks)
-        bip_flags = _bipartite_flags(order, masks)
-        stray = bip_flags & ~tf_flags
-        report.expect(
-            not bool(stray.any()),
-            "filter-soundness",
-            f"order {order}: {int(stray.sum())} bipartite graphs flagged as having triangles",
-        )
-        for mask, is_tf in zip(masks.tolist(), tf_flags.tolist()):
-            adj = _adjacency_of_mask(order, mask, pairs)
-            family = maximal_masks(order, adj)
-            phi = len(family)
-            psi = max((m.bit_count() for m in family), default=0)
-            phi_max = sum(1 for m in family if m.bit_count() == psi)
-            scanned += 1
+    for mask, adj in _graphs(order, SweepFilter()):
+        is_tf = is_triangle_free(order, adj)
+        stray += not is_tf and is_bipartite(order, adj)
+        phi, phi_max = _phi_pair(order, adj)
+        scanned += 1
 
-            if phi_max > phi:
-                report.expect(
-                    False,
-                    "phi-max-le-phi",
-                    f"order {order}: phi'={phi_max} > phi={phi}",
-                    graph6=serialize_mask(order, mask),
-                )
-            if not _within_general_bound(phi, order):
-                report.expect(
-                    False,
-                    "general-bound",
-                    f"order {order}: phi={phi} > 10^(n/5)={alpha_bound:.6f}",
-                    graph6=serialize_mask(order, mask),
-                )
-            if is_tf and not _within_triangle_free_bound(phi, order):
-                report.expect(
-                    False,
-                    "triangle-free-bound",
-                    f"order {order}: triangle-free phi={phi} > 6^(n/4)={beta_bound:.6f}",
-                    graph6=serialize_mask(order, mask),
-                )
+        if phi_max > phi:
+            report.expect(
+                False,
+                "phi-max-le-phi",
+                f"order {order}: phi'={phi_max} > phi={phi}",
+                graph6=serialize_mask(order, mask),
+            )
+        if not _within_general_bound(phi, order):
+            report.expect(
+                False,
+                "general-bound",
+                f"order {order}: phi={phi} > 10^(n/5)={alpha_bound:.6f}",
+                graph6=serialize_mask(order, mask),
+            )
+        if is_tf and not _within_triangle_free_bound(phi, order):
+            report.expect(
+                False,
+                "triangle-free-bound",
+                f"order {order}: triangle-free phi={phi} > 6^(n/4)={beta_bound:.6f}",
+                graph6=serialize_mask(order, mask),
+            )
 
-            for quantity, val in (("phi", phi), ("phi_max", phi_max)):
-                slot = tracked[("all", quantity)]
-                if val > slot[0]:
-                    slot[0], slot[1] = val, [mask]
-                elif val == slot[0]:
-                    slot[1].append(mask)
-                if is_tf:
-                    slot = tracked[("triangle-free", quantity)]
-                    if val > slot[0]:
-                        slot[0], slot[1] = val, [mask]
-                    elif val == slot[0]:
-                        slot[1].append(mask)
-                if general_power is not None and val == general_power:
-                    eq_general[quantity].append(mask)
-                if tf_power is not None and is_tf and val == tf_power:
-                    eq_tf[quantity].append(mask)
+        for quantity, val in (("phi", phi), ("phi_max", phi_max)):
+            tracked["all", quantity].add(val, (mask,))
+            if is_tf:
+                tracked["triangle-free", quantity].add(val, (mask,))
 
+    report.expect(
+        not stray,
+        "filter-soundness",
+        f"order {order}: {stray} bipartite graphs flagged as having triangles",
+    )
     # the scan itself is one aggregate check per bound per order
     report.checks += 3
-    records = []
-    for (class_label, quantity), (best, wit) in tracked.items():
-        classes = sorted({canonical_form(Graph.from_edge_mask(order, m)) for m in wit})
-        records.append(
-            {
-                "order": order,
-                "filter": class_label,
-                "quantity": quantity,
-                "max_value": best,
-                "extremal_graph6": classes,
-                "graphs_scanned": scanned,
-            }
-        )
+    records = [
+        {
+            "order": order,
+            "filter": class_label,
+            "quantity": quantity,
+            "max_value": best.value,
+            "extremal_graph6": best.classes(order),
+            "graphs_scanned": scanned,
+        }
+        for (class_label, quantity), best in tracked.items()
+    ]
+    by_key = dict(zip(tracked, records))
 
-    if general_power is not None:
+    # every graph is held to its bound, so the graphs attaining the bound are
+    # the maximum's witnesses when the maximum reaches it, and none otherwise
+    if order % 5 == 0:
         expected = _expected_general_equality_classes(order)
         for quantity in ("phi", "phi_max"):
-            found = sorted(
-                {canonical_form(Graph.from_edge_mask(order, m)) for m in eq_general[quantity]}
-            )
+            rec = by_key["all", quantity]
+            found = rec["extremal_graph6"] if rec["max_value"] ** 5 == 10 ** order else []
             report.expect(
                 set(found) == expected,
                 "general-equality-classes",
                 f"order {order} {quantity}: graphs attaining 10^(n/5) are {found}, "
                 f"expected {sorted(expected)}",
             )
-    if tf_power is not None:
+    if order % 4 == 0:
         expected = _expected_triangle_free_equality_classes(order)
         for quantity in ("phi", "phi_max"):
-            found = sorted(
-                {canonical_form(Graph.from_edge_mask(order, m)) for m in eq_tf[quantity]}
-            )
+            rec = by_key["triangle-free", quantity]
+            found = rec["extremal_graph6"] if rec["max_value"] ** 4 == 6 ** order else []
             report.expect(
                 set(found) == expected,
                 "triangle-free-equality-classes",
@@ -641,9 +593,7 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[dict]:
                 f"{found}, expected {sorted(expected)}",
             )
     if order == 8:
-        found = next(
-            r for r in records if r["filter"] == "all" and r["quantity"] == "phi"
-        )
+        found = by_key["all", "phi"]
         report.expect(
             found["max_value"] == 36,
             "order8-maximum",

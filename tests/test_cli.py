@@ -205,3 +205,14 @@ def test_gen_pipes_into_count():
     )
     doc = json.loads(cnt.stdout)
     assert [r["phi"] for r in doc["results"]] == [36, 66]
+
+
+def test_cli_import_loads_only_the_standard_library():
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import dissoc.cli; "
+         "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+         "print(sorted(new - set(sys.stdlib_module_names)))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.strip() == "['dissoc']"

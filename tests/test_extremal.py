@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from dissoc import (
     BOUNDS,
+    Graph,
     SweepFilter,
     SweepRefusedError,
     UnsupportedSizeError,
@@ -29,15 +30,19 @@ from dissoc import (
 from dissoc.extremal import (
     VerificationReport,
     _below_path_bound,
-    _bipartite_flags,
-    _triangle_free_flags,
+    _graphs,
     _within_general_bound,
     _within_triangle_free_bound,
 )
 
-import numpy as np
-
 from strategies import graphs
+
+FILTERS = {
+    "all": SweepFilter(),
+    "triangle-free": SweepFilter(triangle_free=True),
+    "bipartite": SweepFilter(bipartite=True),
+    "connected": SweepFilter(connected_only=True),
+}
 
 
 def test_bound_constants():
@@ -69,12 +74,38 @@ def test_bipartite_predicate():
     assert not is_bipartite(3, complete_graph(3).adj)
 
 
-@settings(deadline=None)
-@given(graphs(max_order=6))
-def test_vectorized_flags_match_scalar_predicates(g):
-    masks = np.array([g.edge_mask()], dtype=np.uint64)
-    assert bool(_triangle_free_flags(g.order, masks)[0]) == is_triangle_free(g.order, g.adj)
-    assert bool(_bipartite_flags(g.order, masks)[0]) == is_bipartite(g.order, g.adj)
+@pytest.mark.parametrize("name", sorted(FILTERS))
+def test_generator_yields_exactly_the_admitted_graphs(name):
+    filt = FILTERS[name]
+    for order in range(6):
+        got = list(_graphs(order, filt))
+        masks = [mask for mask, _ in got]
+        assert len(set(masks)) == len(masks)
+        for mask, adj in got:
+            assert adj == Graph.from_edge_mask(order, mask).adj
+        expected = [
+            mask
+            for mask in range(1 << (order * (order - 1) // 2))
+            if filt.admits(order, Graph.from_edge_mask(order, mask).adj)
+        ]
+        assert sorted(masks) == expected
+
+
+# labeled graphs per class for n = 0, 1, 2, ...; connected is A001187
+LABELED_CLASS_COUNTS = {
+    "triangle-free": (1, 1, 2, 7, 41, 388, 5789, 133501),
+    "bipartite": (1, 1, 2, 7, 41, 376, 5177, 103237),
+    "connected": (1, 1, 1, 4, 38, 728, 26704),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABELED_CLASS_COUNTS))
+def test_generator_counts_the_labeled_classes(name):
+    got = tuple(
+        sum(1 for _ in _graphs(order, FILTERS[name]))
+        for order in range(len(LABELED_CLASS_COUNTS[name]))
+    )
+    assert got == LABELED_CLASS_COUNTS[name]
 
 
 def test_sweep_order4_triangle_free():
@@ -94,8 +125,8 @@ def test_sweep_order5_unfiltered_finds_three_classes():
 
 def test_sweep_partitioning_is_invisible():
     base = sweep(5, SweepFilter(triangle_free=True))
-    assert sweep(5, SweepFilter(triangle_free=True), chunk_size=100) == base
-    assert sweep(5, SweepFilter(triangle_free=True), chunk_size=7, workers=2) == base
+    assert sweep(5, SweepFilter(triangle_free=True), workers=2) == base
+    assert sweep(5, SweepFilter(triangle_free=True), workers=3) == base
 
 
 def test_sweep_refuses_order8_without_flag():

@@ -13,12 +13,12 @@ from dissoc import (
     complete_graph,
     cycle_graph,
     delete_vertices,
-    delete_vertices_mapped,
     disjoint_union,
     k_star_graph,
     neighborhood,
     path_graph,
 )
+from dissoc.graphs import delete_vertices_mapped
 
 from strategies import graphs
 
