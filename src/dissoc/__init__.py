@@ -45,10 +45,8 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    delete_vertices,
     disjoint_union,
     k_star_graph,
-    neighborhood,
     path_graph,
 )
 from .oracle import (
@@ -93,7 +91,6 @@ __all__ = [
     "count",
     "count_maximum_bruteforce",
     "cycle_graph",
-    "delete_vertices",
     "disjoint_union",
     "dissociation_number",
     "enumerate_maximal",
@@ -105,7 +102,6 @@ __all__ = [
     "k_star_graph",
     "maximal_masks",
     "maximum_dissociation_set",
-    "neighborhood",
     "parse_graph6",
     "path_graph",
     "random_bipartite_graph",

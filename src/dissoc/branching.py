@@ -111,8 +111,8 @@ def candidate_masks(order: int, adj: Sequence[int], within: int | None = None) -
 def maximal_masks(order: int, adj: Sequence[int], within: int | None = None) -> list[int]:
     """All maximal dissociation sets as bitmasks, ascending.
 
-    Low-level entry point used by the exhaustive sweeps; `enumerate_maximal`
-    wraps the result in a DissociationFamily.
+    Low-level entry point used by the exhaustive sweeps and the recurrence
+    suite; `enumerate_maximal` wraps the result in a DissociationFamily.
     """
     return sorted(candidate_masks(order, adj, within))
 
@@ -177,22 +177,25 @@ def count(g: Graph) -> CountResult:
     return CountResult(phi, phi_max, psi, time.perf_counter() - t0)
 
 
+def _pivot_partition(family: Sequence[int], adj: Sequence[int], v: int) -> PivotPartition:
+    """Split a family of vertex masks by the status of pivot v in each set."""
+    vb = 1 << v
+    excluded = degree1 = 0
+    for m in family:
+        if not m & vb:
+            excluded += 1
+        elif adj[v] & m:
+            degree1 += 1
+    return PivotPartition(excluded, len(family) - excluded - degree1, degree1)
+
+
 def classify_by_pivot(g: Graph, v: int) -> PivotPartition:
     """Split the maximal dissociation sets by whether v is absent, isolated
     inside the set, or paired with one neighbour inside the set."""
     check_enumeration_order(g.order)
     if not 0 <= v < g.order:
         raise IndexError(f"vertex {v} out of range for order {g.order}")
-    excluded = degree0 = degree1 = 0
-    vb = 1 << v
-    for m in maximal_masks(g.order, g.adj):
-        if not m & vb:
-            excluded += 1
-        elif g.adj[v] & m:
-            degree1 += 1
-        else:
-            degree0 += 1
-    return PivotPartition(excluded, degree0, degree1)
+    return _pivot_partition(maximal_masks(g.order, g.adj), g.adj, v)
 
 
 def _lex_less(a: int, b: int) -> bool:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .branching import count, enumerate_maximal, maximum_dissociation_set
 from .extremal import (
@@ -91,11 +90,13 @@ def parse_family_string(text: str) -> FamilySpec:
 
 
 def _read_graph_lines(source: str | None) -> list[tuple[int, str]]:
-    """(line number, stripped text) for every nonempty input line."""
+    """(line number, stripped text) for every nonempty input line.  A file is
+    decoded as stdin is, UTF-8 with undecodable bytes escaped, so no byte
+    aborts the read and `_parse_lines` recovers each line's exact bytes."""
     if source is None or source == "-":
         raw = sys.stdin.read().splitlines()
     else:
-        with open(source, "r", encoding="ascii") as fh:
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
             raw = fh.read().splitlines()
     return [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
 
@@ -106,7 +107,7 @@ def _parse_lines(source: str | None) -> tuple[list[tuple[int, str, object]], lis
     errors = []
     for lineno, text in _read_graph_lines(source):
         try:
-            g = parse_graph6(text)
+            g = parse_graph6(text.encode("utf-8", "surrogateescape"))
             check_enumeration_order(g.order)
         except (Graph6Error, UnsupportedSizeError) as exc:
             errors.append({"line": lineno, "error": str(exc)})
@@ -214,13 +215,7 @@ def _cmd_max(args) -> int:
 def _cmd_gen(args) -> int:
     lines = []
     for spec_text in args.spec:
-        try:
-            spec = parse_family_string(spec_text)
-            g = build(spec)
-        except (SpecGrammarError, FamilySpecError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        lines.append(serialize_graph6(g))
+        lines.append(serialize_graph6(build(parse_family_string(spec_text))))
     for line in lines:
         print(line)
     return 0
@@ -229,25 +224,21 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
     reports = []
-    try:
-        for suite in suites:
-            if suite == "bounds":
-                reports.append(
-                    verify_asymptotic_bounds(
-                        order_max=args.order_max,
-                        allow_long=args.allow_long,
-                        seed=args.seed,
-                    )
+    for suite in suites:
+        if suite == "bounds":
+            reports.append(
+                verify_asymptotic_bounds(
+                    order_max=args.order_max,
+                    allow_long=args.allow_long,
+                    seed=args.seed,
                 )
-            elif suite == "families":
-                reports.append(verify_family_values(max_t=args.t_max))
-            elif suite == "recurrences":
-                reports.append(verify_recurrences(pivot_trials=args.trials, seed=args.seed))
-            elif suite == "paths-cycles":
-                reports.append(verify_path_cycle_bounds(n_max=args.n_max))
-    except (SweepRefusedError, UnsupportedSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            )
+        elif suite == "families":
+            reports.append(verify_family_values(max_t=args.t_max))
+        elif suite == "recurrences":
+            reports.append(verify_recurrences(pivot_trials=args.trials, seed=args.seed))
+        elif suite == "paths-cycles":
+            reports.append(verify_path_cycle_bounds(n_max=args.n_max))
 
     total_violations = sum(len(r.violations) for r in reports)
     if args.format == "json":
@@ -277,6 +268,13 @@ def _cmd_verify(args) -> int:
     return 0 if total_violations == 0 else 1
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -288,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--allow-long", action="store_true",
         help="permit long-running order-8 exhaustive sweeps",
     )
-    common.add_argument("--limit", type=int, default=None, help="truncate listings after this many sets")
+    common.add_argument("--limit", type=_non_negative_int, default=None,
+                        help="truncate listings after this many sets")
 
     parser = argparse.ArgumentParser(
         prog="dissoc",
@@ -334,9 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Failures that stop a whole command rather than one input line: an
+# unreadable input file, a bad gen spec, a refused or oversized verify run.
+_COMMAND_ERRORS = (OSError, SpecGrammarError, FamilySpecError, SweepRefusedError, UnsupportedSizeError)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _COMMAND_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from .branching import count, classify_by_pivot, maximal_masks
+from .branching import _pivot_partition, count, maximal_masks
 from .canonical import canonical_form
 from .graph6 import serialize_graph6
 from .graphs import (
@@ -33,13 +33,12 @@ from .graphs import (
     check_enumeration_order,
     complete_bipartite_graph,
     cycle_graph,
-    delete_vertices,
     disjoint_union,
     edge_index,
     k_star_graph,
-    neighborhood,
     path_graph,
 )
+from .oracle import _members
 
 SWEEP_FULL_ORDER_CAP = 7
 SWEEP_LONG_ORDER_CAP = 8
@@ -676,25 +675,23 @@ def verify_asymptotic_bounds(
 # counting recurrences
 # ---------------------------------------------------------------------------
 
-def _phi(g: Graph) -> int:
-    return len(maximal_masks(g.order, g.adj))
-
-
-def _phi_minus(g: Graph, drop: Iterable[int]) -> int:
-    return _phi(delete_vertices(g, drop))
+def _phi_without(g: Graph, drop: int) -> int:
+    """phi(G - S) for the vertex mask `drop` of S, searched in place on g."""
+    return len(maximal_masks(g.order, g.adj, ((1 << g.order) - 1) & ~drop))
 
 
 def _check_pivot_recurrence(g: Graph, report: VerificationReport, g6: str) -> None:
     """Per-pivot partition bounds: each part of the split is dominated by the
     count of the matching vertex-deleted subgraph."""
-    phi = _phi(g)
+    adj = g.adj
+    family = maximal_masks(g.order, adj)
+    phi = len(family)
+    closed = [adj[v] | 1 << v for v in range(g.order)]
     for v in range(g.order):
-        part = classify_by_pivot(g, v)
-        closed = neighborhood(g, v, closed=True)
-        open_nb = neighborhood(g, v)
-        phi_without = _phi_minus(g, [v])
-        phi_isolated = _phi_minus(g, closed)
-        paired_sum = sum(_phi_minus(g, closed | neighborhood(g, u, closed=True)) for u in open_nb)
+        part = _pivot_partition(family, adj, v)
+        phi_without = _phi_without(g, 1 << v)
+        phi_isolated = _phi_without(g, closed[v])
+        paired_sum = sum(_phi_without(g, closed[v] | closed[u]) for u in _members(adj[v]))
 
         report.expect(
             part.total == phi,
@@ -720,9 +717,7 @@ def _check_pivot_recurrence(g: Graph, report: VerificationReport, g6: str) -> No
             f"{g6} v={v}: paired part {part.degree1_count} > sum over neighbours {paired_sum}",
             graph6=g6,
         )
-        dominated = any(
-            neighborhood(g, w, closed=True) <= closed for w in open_nb
-        )
+        dominated = any(not closed[w] & ~closed[v] for w in _members(adj[v]))
         if dominated:
             # some neighbour's closed neighbourhood sits inside N[v]: v can
             # never be isolated in a maximal set, and the middle term drops
@@ -746,45 +741,27 @@ def _check_pivot_recurrence(g: Graph, report: VerificationReport, g6: str) -> No
         )
 
 
-def _check_leaf_recurrence(g: Graph, v: int, report: VerificationReport, g6: str) -> None:
-    """Bound through a leaf v: branch on the status of its support vertex."""
-    (w,) = neighborhood(g, v)
-    closed_w = neighborhood(g, w, closed=True)
-    rhs = (
-        sum(
-            _phi_minus(g, closed_w | neighborhood(g, u, closed=True))
-            for u in neighborhood(g, w) - {v}
-        )
-        + _phi_minus(g, [v, w])
-        + _phi_minus(g, closed_w)
-    )
-    report.expect(
-        _phi(g) <= rhs,
-        "leaf-recurrence",
-        f"{g6} leaf v={v}: phi={_phi(g)} > {rhs}",
-        graph6=g6,
-    )
-
-
-def _check_twin_leaf_recurrence(
-    g: Graph, w: int, v1: int, v2: int, report: VerificationReport, g6: str
+def _check_leaf_recurrence(
+    g: Graph, w: int, leaves: tuple[int, ...], report: VerificationReport, g6: str
 ) -> None:
-    """Bound at a vertex w supporting two leaves v1, v2."""
-    closed_w = neighborhood(g, w, closed=True)
+    """Bound at a support vertex w of one leaf (the leaf recurrence) or two
+    leaves (the twin-leaf recurrence): branch on the status of w."""
+    adj = g.adj
+    closed_w = adj[w] | 1 << w
     rhs = (
         sum(
-            _phi_minus(g, closed_w | neighborhood(g, u, closed=True))
-            for u in neighborhood(g, w) - {v1}
+            _phi_without(g, closed_w | adj[u] | 1 << u)
+            for u in _members(adj[w] & ~(1 << leaves[0]))
         )
-        + _phi_minus(g, [w, v1, v2])
-        + _phi_minus(g, closed_w)
+        + _phi_without(g, 1 << w | sum(1 << v for v in leaves))
+        + _phi_without(g, closed_w)
     )
-    report.expect(
-        _phi(g) <= rhs,
-        "twin-leaf-recurrence",
-        f"{g6} w={w} leaves {v1},{v2}: phi={_phi(g)} > {rhs}",
-        graph6=g6,
-    )
+    phi = _phi_without(g, 0)
+    if len(leaves) == 1:
+        check, where = "leaf-recurrence", f"leaf v={leaves[0]}"
+    else:
+        check, where = "twin-leaf-recurrence", f"w={w} leaves {leaves[0]},{leaves[1]}"
+    report.expect(phi <= rhs, check, f"{g6} {where}: phi={phi} > {rhs}", graph6=g6)
 
 
 def verify_recurrences(
@@ -811,24 +788,24 @@ def verify_recurrences(
         w = rng.randrange(base.order)
         v = base.order
         g = Graph.from_edges(base.order + 1, list(base.edges()) + [(w, v)])
-        _check_leaf_recurrence(g, v, report, serialize_graph6(g))
+        _check_leaf_recurrence(g, w, (v,), report, serialize_graph6(g))
 
     for trial in range(twin_leaf_trials):
         base = random_graph(rng, rng.randint(max(lo - 2, 2), hi - 2), EDGE_PROBABILITIES[trial % 3])
         w = rng.randrange(base.order)
         v1, v2 = base.order, base.order + 1
         g = Graph.from_edges(base.order + 2, list(base.edges()) + [(w, v1), (w, v2)])
-        _check_twin_leaf_recurrence(g, w, v1, v2, report, serialize_graph6(g))
+        _check_leaf_recurrence(g, w, (v1, v2), report, serialize_graph6(g))
 
     for trial in range(union_trials):
         a = random_graph(rng, rng.randint(1, 8), EDGE_PROBABILITIES[trial % 3])
         b = random_graph(rng, rng.randint(1, 8), EDGE_PROBABILITIES[(trial + 1) % 3])
         u = disjoint_union(a, b)
+        phi_u, phi_a, phi_b = (_phi_without(x, 0) for x in (u, a, b))
         report.expect(
-            _phi(u) == _phi(a) * _phi(b),
+            phi_u == phi_a * phi_b,
             "union-multiplicativity",
-            f"orders {a.order}+{b.order}: phi(union)={_phi(u)} != "
-            f"{_phi(a)} * {_phi(b)}",
+            f"orders {a.order}+{b.order}: phi(union)={phi_u} != {phi_a} * {phi_b}",
             graph6=serialize_graph6(u),
         )
 

@@ -37,14 +37,10 @@ def serialize_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str | bytes) -> Graph:
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise Graph6Error("graph6 input is not ASCII") from exc
+    """Decode one graph6 line; a rejected byte is named by its value."""
     if not text:
         raise Graph6Error("empty graph6 input")
-    codes = [ord(c) for c in text]
+    codes = list(text) if isinstance(text, bytes) else [ord(c) for c in text]
     for pos, c in enumerate(codes):
         if not 63 <= c <= 126:
             raise Graph6Error(f"byte {c} at position {pos} outside the graph6 range 63..126")

@@ -3,7 +3,8 @@
 A dissociation set is a vertex subset whose induced subgraph has maximum
 degree at most one.  Everything here scans all 2^n subsets and tests
 maximality by explicit single-vertex extension -- intentionally naive, so the
-fast enumerator has an independent referee.
+fast enumerator has an independent referee.  Both hand their vertex bitmasks
+to DissociationFamily, which decodes each set once, into a sorted tuple.
 """
 
 from __future__ import annotations
@@ -71,36 +72,32 @@ def is_maximal(g: Graph, f: Iterable[int]) -> bool:
 @dataclass(frozen=True)
 class DissociationFamily:
     """All maximal dissociation sets of one graph, deduplicated and in
-    canonical order: by size, then lexicographically by sorted member list."""
+    canonical order: by size, then lexicographically by sorted member list.
+    Each set is held as its sorted member tuple."""
 
     source_order: int
-    sets: tuple[frozenset[int], ...]
+    sets: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_masks(cls, order: int, masks: Iterable[int]) -> "DissociationFamily":
-        keyed = sorted((m.bit_count(), _members(m)) for m in set(masks))
-        return cls(order, tuple(frozenset(members) for _, members in keyed))
+        members = sorted(map(_members, set(masks)))
+        members.sort(key=len)  # stable, so each size stays lexicographic
+        return cls(order, tuple(members))
 
     def masks(self) -> list[int]:
-        out = []
-        for s in self.sets:
-            m = 0
-            for v in s:
-                m |= 1 << v
-            out.append(m)
-        return out
+        return [sum(1 << v for v in s) for s in self.sets]
 
     def as_lists(self) -> list[list[int]]:
-        return [sorted(s) for s in self.sets]
+        return [list(s) for s in self.sets]
 
     def __len__(self) -> int:
         return len(self.sets)
 
-    def __iter__(self) -> Iterator[frozenset[int]]:
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.sets)
 
     def __contains__(self, item: Iterable[int]) -> bool:
-        return frozenset(item) in set(self.sets)
+        return tuple(sorted(set(item))) in self.sets
 
 
 def _check_cap(g: Graph) -> None:

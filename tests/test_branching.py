@@ -14,18 +14,18 @@ from dissoc import (
     complete_graph,
     count,
     cycle_graph,
-    delete_vertices,
     disjoint_union,
     dissociation_number,
     enumerate_maximal,
     enumerate_maximal_bruteforce,
     is_dissociation,
     is_maximal,
+    maximal_masks,
     maximum_dissociation_set,
-    neighborhood,
     path_graph,
 )
 from dissoc.branching import candidate_masks
+from dissoc.graphs import delete_vertices, delete_vertices_mapped, neighborhood
 
 from strategies import graphs
 
@@ -187,6 +187,15 @@ def test_strengthened_pivot_recurrence_on_k5():
     part = classify_by_pivot(g, 0)
     assert part.degree0_count == 0
     assert count(g).phi == count(complete_graph(4)).phi + 4 * 1
+
+
+@settings(deadline=None)
+@given(graphs(max_order=9), st.data())
+def test_within_a_vertex_mask_is_the_deleted_subgraph(g, data):
+    drop = data.draw(st.integers(0, (1 << g.order) - 1), label="dropped mask")
+    sub, kept = delete_vertices_mapped(g, [v for v in range(g.order) if drop >> v & 1])
+    expected = sorted(sum(1 << kept[v] for v in s) for s in enumerate_maximal(sub))
+    assert maximal_masks(g.order, g.adj, within=((1 << g.order) - 1) & ~drop) == expected
 
 
 def _oracle_masks(g):

@@ -128,6 +128,41 @@ def test_count_reads_files(tmp_path, monkeypatch, capsys):
     assert out.strip().splitlines()[1].split(",")[2] == "10"
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_graph6_byte_is_a_line_error_naming_the_byte(source, tmp_path, monkeypatch, capsys):
+    data = b"C]\n\xe9\nBw\n"
+    if source == "file":
+        path = tmp_path / "graphs.g6"
+        path.write_bytes(data)
+        argv, stdin_text = ["count", str(path), "--format", "csv"], ""
+    else:
+        # the interpreter's stdin decodes an undecodable byte to a lone surrogate
+        argv, stdin_text = ["count", "--format", "csv"], data.decode("utf-8", "surrogateescape")
+    code, out, err = run_cli(argv, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert err == "line 2: byte 233 at position 0 outside the graph6 range 63..126\n"
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["C]", "Bw"]
+
+
+def test_missing_input_file_is_an_error_line(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing.g6"
+    code, out, err = run_cli(["count", str(missing)], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_negative_limit_is_refused(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            ["enumerate", "--limit", "-1"],
+            stdin_text=serialize_graph6(complete_graph(5)) + "\n",
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+    assert exc.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+
+
 def test_enumerate_p3_lists_three_pairs(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["enumerate", "--format", "json"],

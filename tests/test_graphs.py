@@ -12,13 +12,11 @@ from dissoc import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    delete_vertices,
     disjoint_union,
     k_star_graph,
-    neighborhood,
     path_graph,
 )
-from dissoc.graphs import delete_vertices_mapped
+from dissoc.graphs import delete_vertices, delete_vertices_mapped, neighborhood
 
 from strategies import graphs
 

@@ -95,6 +95,15 @@ def test_family_is_ordered_by_size_then_lexicographically():
     assert family.as_lists() == [[1, 2], [0, 1, 3], [0, 2, 3]]
 
 
+def test_family_yields_sorted_tuples_and_tests_membership_by_set():
+    assert list(enumerate_maximal_bruteforce(path_graph(4))) == [(1, 2), (0, 1, 3), (0, 2, 3)]
+    family = enumerate_maximal_bruteforce(cycle_graph(4))
+    assert [1, 0, 0] in family
+    assert (3, 2) in family
+    assert [0, 1, 2] not in family
+    assert [0] not in family
+
+
 def test_oracle_rejects_orders_beyond_cap():
     with pytest.raises(UnsupportedSizeError):
         enumerate_maximal_bruteforce(Graph(25, (0,) * 25))
