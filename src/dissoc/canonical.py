@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from typing import Iterator
 
 from .graph6 import serialize_graph6
-from .graphs import Graph, UnsupportedSizeError, edge_pairs
+from .graphs import Graph, UnsupportedSizeError, edge_index
 
 CANONICAL_ORDER_CAP = 8
 
@@ -23,33 +24,34 @@ def _perms(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(permutations(range(n)))
 
 
-def _min_bits(g: Graph) -> int:
-    """Minimal packed upper-triangle bits over all relabellings (MSB = first pair)."""
-    adj = g.adj
-    n = g.order
-    pairs = edge_pairs(n)
-    best = None
-    for perm in _perms(n):
-        val = 0
-        for i, j in pairs:
-            val = (val << 1) | ((adj[perm[i]] >> perm[j]) & 1)
-        if best is None or val < best:
-            best = val
-    return best or 0
-
-
-def canonical_form(g: Graph) -> str:
-    """graph6 string of the lexicographically minimal relabelling of g."""
+def _relabellings(g: Graph) -> Iterator[tuple[int, int]]:
+    """(bits, mask) per relabelling of g: its upper triangle packed with the
+    first vertex pair most significant, and its Graph.from_edge_mask mask."""
     if g.order > CANONICAL_ORDER_CAP:
         raise UnsupportedSizeError(
             f"canonical_form is capped at order {CANONICAL_ORDER_CAP} "
             f"(factorial scan), got {g.order}"
         )
-    bits = _min_bits(g)
-    nbits = g.order * (g.order - 1) // 2
-    # repack MSB-first bit string into the from_edge_mask bit numbering
-    mask = 0
-    for k in range(nbits):
-        if (bits >> (nbits - 1 - k)) & 1:
+    n = g.order
+    edges = list(g.edges())
+    index = [[edge_index(i, j) for j in range(n)] for i in range(n)]
+    top = n * (n - 1) // 2 - 1
+    for perm in _perms(n):
+        # vertex a of g becomes perm[a]; only the edges of g set bits
+        bits = mask = 0
+        for a, b in edges:
+            k = index[perm[a]][perm[b]]
+            bits |= 1 << (top - k)
             mask |= 1 << k
+        yield bits, mask
+
+
+def canonical_form(g: Graph) -> str:
+    """graph6 string of the lexicographically minimal relabelling of g."""
+    _, mask = min(_relabellings(g))
     return serialize_graph6(Graph.from_edge_mask(g.order, mask))
+
+
+def relabelled_masks(g: Graph) -> set[int]:
+    """Edge masks of every relabelling of g: the labeled graphs isomorphic to g."""
+    return {mask for _, mask in _relabellings(g)}

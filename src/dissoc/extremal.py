@@ -5,11 +5,11 @@ only graphs of the requested class (triangle-free / bipartite / connected) are
 ever built, compute phi or phi' via the branching enumerator, and report the
 maximum together with all attaining graphs up to isomorphism.  A sweep is
 split into one task per admitted graph on its first order-2 vertices; the
-tasks run in turn or on a process pool.  The bounds suite scans every graph
-of each order with the same generator.  The verify_* operations package the
-checkable claims: closed-form family values, the 10^(n/5) and 6^(n/4) bounds
-with their equality characterizations, the per-pivot counting recurrences,
-and the path/cycle bounds.
+tasks run in turn or on a process pool, and the bounds suite runs the same
+scan.  The verify_* operations package the checkable claims: closed-form
+family values, the 10^(n/5) and 6^(n/4) bounds with their equality
+characterizations, the per-pivot counting recurrences, and the path/cycle
+bounds.
 
 Bound checks are exact integer comparisons: phi <= 10^(n/5) is decided as
 phi^5 <= 10^n, phi <= 6^(n/4) as phi^4 <= 6^n, and phi < 0.81 * 6^(n/4) as
@@ -25,7 +25,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 from .branching import _pivot_partition, count, maximal_masks
-from .canonical import canonical_form
+from .canonical import canonical_form, relabelled_masks
 from .graph6 import serialize_graph6
 from .graphs import (
     Graph,
@@ -223,22 +223,60 @@ class _Best:
             self.masks.extend(masks)
 
     def classes(self, order: int) -> list[str]:
-        """Canonical graph6 strings of the attaining isomorphism classes."""
-        return sorted({canonical_form(Graph.from_edge_mask(order, m)) for m in self.masks})
+        """Canonical graph6 strings of the attaining isomorphism classes: each
+        class is canonicalised once, and its relabellings cover its witnesses."""
+        forms = []
+        covered: set[int] = set()
+        for m in self.masks:
+            if m not in covered:
+                g = Graph.from_edge_mask(order, m)
+                forms.append(canonical_form(g))
+                covered |= relabelled_masks(g)
+        return sorted(forms)
 
 
-def _scan_head(args: tuple) -> tuple[int, _Best]:
+def _scan_head(args: tuple) -> tuple[int, dict[str, _Best], list[int]]:
     """Extend one admitted graph on the first vertices to every admitted graph
-    of full order: returns (graphs admitted, maximum of the quantity with its
-    witness masks)."""
-    order, filt, quantity, (mask, adj) = args
-    pick = ("phi", "phi_max").index(quantity)
+    of full order, and return what _scan returns for those graphs."""
+    order, filt, (mask, adj) = args
     admitted = 0
-    best = _Best()
+    best = {"phi": _Best(), "phi_max": _Best()}
+    inverted = []
     for m, a in _graphs(order, filt, len(adj), adj, mask):
         admitted += 1
-        best.add(_phi_pair(order, a)[pick], (m,))
-    return admitted, best
+        phi, phi_max = _phi_pair(order, a)
+        best["phi"].add(phi, (m,))
+        best["phi_max"].add(phi_max, (m,))
+        if phi_max > phi:
+            inverted.append(m)
+    return admitted, best, inverted
+
+
+def _scan(order: int, filt: SweepFilter, workers: int = 1) -> tuple[int, dict[str, _Best], list[int]]:
+    """Scan every labeled graph of `order` that `filt` admits: returns (graphs
+    admitted, the maxima of phi and phi' with their witness masks, the masks of
+    the graphs with phi' > phi).  Each admitted graph on the first order-2
+    vertices is a task extending it to full order; with workers > 1 the tasks
+    run on a process pool, and the merge is order-independent."""
+    heads = _graphs(max(order - 2, 0), replace(filt, connected_only=False))
+    tasks = [(order, filt, head) for head in heads]
+    if workers > 1 and len(tasks) > 1:
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(_scan_head, tasks)
+    else:
+        results = map(_scan_head, tasks)
+
+    scanned = 0
+    best = {"phi": _Best(), "phi_max": _Best()}
+    inverted = []
+    for admitted, part, bad in results:
+        scanned += admitted
+        for quantity, b in part.items():
+            best[quantity].add(b.value, b.masks)
+        inverted += bad
+    return scanned, best, inverted
 
 
 @dataclass(frozen=True)
@@ -295,37 +333,21 @@ def sweep(
     """Scan every labeled graph of `order` that `filt` admits and record the
     maximum quantity.
 
-    graphs_scanned counts the graphs admitted by the filter.  The admitted
-    graphs on the first order-2 vertices are built first, and each one is a
-    task that extends it to full order; with workers > 1 the tasks are
-    distributed over a process pool.  The merge is order-independent, so the
-    record is identical for any worker count.
+    graphs_scanned counts the graphs admitted by the filter.  The record is
+    identical for any worker count, and verify_asymptotic_bounds runs the
+    same scan.
     """
     if quantity not in ("phi", "phi_max"):
         raise ValueError(f"quantity must be 'phi' or 'phi_max', got {quantity!r}")
     _check_sweep_order(order, allow_long)
     t0 = time.perf_counter()
-    heads = _graphs(max(order - 2, 0), replace(filt, connected_only=False))
-    tasks = [(order, filt, quantity, head) for head in heads]
-    if workers > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_scan_head, tasks)
-    else:
-        results = map(_scan_head, tasks)
-
-    scanned = 0
-    best = _Best()
-    for admitted, part in results:
-        scanned += admitted
-        best.add(part.value, part.masks)
+    scanned, best, _ = _scan(order, filt, workers)
     return ExtremalRecord(
         order=order,
         filter=filt,
         quantity=quantity,
-        max_value=best.value,
-        extremal_canonical=tuple(best.classes(order)),
+        max_value=best[quantity].value,
+        extremal_canonical=tuple(best[quantity].classes(order)),
         graphs_scanned=scanned,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
@@ -503,94 +525,71 @@ def _expected_order8_classes() -> set[str]:
 
 
 def _scan_bounds_order(order: int, report: VerificationReport) -> list[dict]:
-    """Full labeled-graph scan at one order: bound checks plus extremal records."""
-    alpha_bound = BOUNDS.alpha ** order
-    beta_bound = BOUNDS.beta ** order
-    tracked = {
-        (class_label, quantity): _Best()
-        for class_label in ("all", "triangle-free")
-        for quantity in ("phi", "phi_max")
-    }
-    scanned = 0
-    stray = 0
+    """Bound checks, equality classes and extremal records at one order, from
+    one scan of all graphs and one of the triangle-free graphs."""
+    by_key = {}
+    inverted: set[int] = set()
+    for filt, within, check, base, root, expected_classes in (
+        (SweepFilter(), _within_general_bound, "general", 10, 5,
+         _expected_general_equality_classes),
+        (SweepFilter(triangle_free=True), _within_triangle_free_bound, "triangle-free", 6, 4,
+         _expected_triangle_free_equality_classes),
+    ):
+        label = filt.label()
+        scanned, best, bad = _scan(order, filt)
+        inverted.update(bad)
+        # the bound is monotone in phi, so every graph meets it exactly when
+        # the maximum does
+        top = best["phi"]
+        report.expect(
+            within(top.value, order),
+            f"{check}-bound",
+            f"order {order}: {label} maximum phi={top.value} > {base}^(n/{root})",
+            graph6=serialize_mask(order, top.masks[0]),
+        )
+        expected = expected_classes(order)
+        for quantity, b in best.items():
+            rec = by_key[label, quantity] = {
+                "order": order,
+                "filter": label,
+                "quantity": quantity,
+                "max_value": b.value,
+                "extremal_graph6": b.classes(order),
+                "graphs_scanned": scanned,
+            }
+            if order % root == 0:
+                # the graphs attaining the bound are the maximum's witnesses
+                # when the maximum reaches it, and none otherwise
+                found = rec["extremal_graph6"] if b.value ** root == base ** order else []
+                report.expect(
+                    set(found) == expected,
+                    f"{check}-equality-classes",
+                    f"order {order} {quantity}: {label} graphs attaining {base}^(n/{root}) "
+                    f"are {found}, expected {sorted(expected)}",
+                )
 
-    for mask, adj in _graphs(order, SweepFilter()):
-        is_tf = is_triangle_free(order, adj)
-        stray += not is_tf and is_bipartite(order, adj)
-        phi, phi_max = _phi_pair(order, adj)
-        scanned += 1
+    # phi' <= phi is tested on every graph in the scans: one violation per
+    # graph that breaks it, or one passing check
+    if not inverted:
+        report.expect(True, "phi-max-le-phi", f"order {order}: phi' <= phi")
+    for mask in sorted(inverted):
+        report.expect(
+            False,
+            "phi-max-le-phi",
+            f"order {order}: phi' > phi",
+            graph6=serialize_mask(order, mask),
+        )
 
-        if phi_max > phi:
-            report.expect(
-                False,
-                "phi-max-le-phi",
-                f"order {order}: phi'={phi_max} > phi={phi}",
-                graph6=serialize_mask(order, mask),
-            )
-        if not _within_general_bound(phi, order):
-            report.expect(
-                False,
-                "general-bound",
-                f"order {order}: phi={phi} > 10^(n/5)={alpha_bound:.6f}",
-                graph6=serialize_mask(order, mask),
-            )
-        if is_tf and not _within_triangle_free_bound(phi, order):
-            report.expect(
-                False,
-                "triangle-free-bound",
-                f"order {order}: triangle-free phi={phi} > 6^(n/4)={beta_bound:.6f}",
-                graph6=serialize_mask(order, mask),
-            )
-
-        for quantity, val in (("phi", phi), ("phi_max", phi_max)):
-            tracked["all", quantity].add(val, (mask,))
-            if is_tf:
-                tracked["triangle-free", quantity].add(val, (mask,))
-
+    stray = sum(
+        not is_triangle_free(order, adj)
+        for _, adj in _graphs(order, SweepFilter(bipartite=True))
+    )
     report.expect(
         not stray,
         "filter-soundness",
         f"order {order}: {stray} bipartite graphs flagged as having triangles",
     )
-    # the scan itself is one aggregate check per bound per order
-    report.checks += 3
-    records = [
-        {
-            "order": order,
-            "filter": class_label,
-            "quantity": quantity,
-            "max_value": best.value,
-            "extremal_graph6": best.classes(order),
-            "graphs_scanned": scanned,
-        }
-        for (class_label, quantity), best in tracked.items()
-    ]
-    by_key = dict(zip(tracked, records))
 
-    # every graph is held to its bound, so the graphs attaining the bound are
-    # the maximum's witnesses when the maximum reaches it, and none otherwise
-    if order % 5 == 0:
-        expected = _expected_general_equality_classes(order)
-        for quantity in ("phi", "phi_max"):
-            rec = by_key["all", quantity]
-            found = rec["extremal_graph6"] if rec["max_value"] ** 5 == 10 ** order else []
-            report.expect(
-                set(found) == expected,
-                "general-equality-classes",
-                f"order {order} {quantity}: graphs attaining 10^(n/5) are {found}, "
-                f"expected {sorted(expected)}",
-            )
-    if order % 4 == 0:
-        expected = _expected_triangle_free_equality_classes(order)
-        for quantity in ("phi", "phi_max"):
-            rec = by_key["triangle-free", quantity]
-            found = rec["extremal_graph6"] if rec["max_value"] ** 4 == 6 ** order else []
-            report.expect(
-                set(found) == expected,
-                "triangle-free-equality-classes",
-                f"order {order} {quantity}: triangle-free graphs attaining 6^(n/4) are "
-                f"{found}, expected {sorted(expected)}",
-            )
     if order == 8:
         found = by_key["all", "phi"]
         report.expect(
@@ -604,7 +603,7 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[dict]:
             f"order 8 extremal classes {found['extremal_graph6']} differ from the "
             f"two-block 4-clique family",
         )
-    return records
+    return list(by_key.values())
 
 
 def serialize_mask(order: int, mask: int) -> str:
@@ -625,6 +624,9 @@ def verify_asymptotic_bounds(
     on every labeled graph up to order_max, with equality exactly on the
     characterized families; phi' is held to the same bounds and to phi' <= phi.
     Orders 8..14 get randomized spot checks on top of the exhaustive range.
+
+    Each order runs the sweep's scan over all and over triangle-free graphs;
+    the records equal sweep's, so triangle-free ones count only those graphs.
     """
     _check_sweep_order(order_max, allow_long)
     t0 = time.perf_counter()

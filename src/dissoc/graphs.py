@@ -107,14 +107,6 @@ class Graph:
         return self.adj[v].bit_count()
 
     @property
-    def max_degree(self) -> int:
-        return max((row.bit_count() for row in self.adj), default=0)
-
-    @property
-    def min_degree(self) -> int:
-        return min((row.bit_count() for row in self.adj), default=0)
-
-    @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 

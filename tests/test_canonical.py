@@ -17,6 +17,7 @@ from dissoc import (
     k_star_graph,
     parse_graph6,
 )
+from dissoc.canonical import relabelled_masks
 
 from strategies import graphs
 
@@ -41,6 +42,35 @@ def test_k5_minus_any_single_edge_is_one_class():
 def test_rejects_order_above_8():
     with pytest.raises(UnsupportedSizeError):
         canonical_form(complete_graph(9))
+    with pytest.raises(UnsupportedSizeError):
+        relabelled_masks(complete_graph(9))
+
+
+# the canonical strings of every class of order 4 and 5 (A000088: 11 and 34)
+CANONICAL_FORMS = {
+    4: "C? C@ CB CF CJ CK CL CN C] C^ C~",
+    5: "D?? D?C D?K D?[ D?{ D@K D@O D@S D@[ D@o D@s D@{ DBW DB[ DBg DBk DBw DB{ "
+       "DFw DF{ DJ[ DJ_ DJc DJk DJ{ DK{ DLo DLs DL{ DNw DN{ D]{ D^{ D~{",
+}
+
+
+@pytest.mark.parametrize("order", sorted(CANONICAL_FORMS))
+def test_canonical_strings_are_pinned(order):
+    forms = {
+        canonical_form(Graph.from_edge_mask(order, mask))
+        for mask in range(1 << (order * (order - 1) // 2))
+    }
+    assert sorted(forms) == CANONICAL_FORMS[order].split()
+
+
+def test_relabelled_masks_are_the_isomorphism_class():
+    for order in range(6):
+        classes = {}
+        for mask in range(1 << (order * (order - 1) // 2)):
+            form = canonical_form(Graph.from_edge_mask(order, mask))
+            classes.setdefault(form, set()).add(mask)
+        for members in classes.values():
+            assert relabelled_masks(Graph.from_edge_mask(order, max(members))) == members
 
 
 def test_null_graph_canonical_form():

@@ -15,20 +15,25 @@ from dissoc import (
     canonical_form,
     complete_bipartite_graph,
     complete_graph,
+    count,
     cycle_graph,
     is_bipartite,
     is_triangle_free,
     k_star_graph,
+    parse_graph6,
     random_bipartite_graph,
     random_graph,
+    serialize_graph6,
     sweep,
     verify_asymptotic_bounds,
     verify_family_values,
     verify_path_cycle_bounds,
     verify_recurrences,
 )
+from dissoc import extremal
 from dissoc.extremal import (
     VerificationReport,
+    _Best,
     _below_path_bound,
     _graphs,
     _within_general_bound,
@@ -242,6 +247,93 @@ def test_bounds_small():
 def test_bounds_refuses_order8_without_flag():
     with pytest.raises(SweepRefusedError):
         verify_asymptotic_bounds(order_max=8)
+
+
+def _small_bounds(order_max=5):
+    return verify_asymptotic_bounds(
+        order_max=order_max, spot_orders=(), bipartite_spot_trials=0
+    )
+
+
+def test_bounds_records_match_sweep():
+    records = _small_bounds().details["records"]
+    assert len(records) == 6 * 4
+    for rec in records:
+        filt = FILTERS[rec["filter"]]
+        swept = sweep(rec["order"], filt, rec["quantity"]).to_json_dict()
+        for key in ("max_value", "extremal_graph6", "graphs_scanned"):
+            assert rec[key] == swept[key], (rec, key)
+
+
+@pytest.mark.parametrize(
+    "patched, check, label",
+    [
+        ("_within_general_bound", "general-bound", "all"),
+        ("_within_triangle_free_bound", "triangle-free-bound", "triangle-free"),
+    ],
+)
+def test_bounds_report_a_broken_bound_at_a_maximum(monkeypatch, patched, check, label):
+    monkeypatch.setattr(extremal, patched, lambda phi, order: False)
+    report = _small_bounds(order_max=4)
+    maxima = {
+        r["order"]: r["max_value"]
+        for r in report.details["records"]
+        if r["filter"] == label and r["quantity"] == "phi"
+    }
+    found = [v for v in report.violations if v.check == check]
+    assert len(found) == len(maxima) == 5
+    for v in found:
+        g = parse_graph6(v.graph6)
+        assert count(g).phi == maxima[g.order]
+        assert label == "all" or is_triangle_free(g.order, g.adj)
+
+
+def test_bounds_report_every_graph_with_phi_max_above_phi(monkeypatch):
+    clean = _small_bounds(order_max=4)
+    real = extremal._phi_pair
+
+    def inverted_on_single_edges(order, adj):
+        phi, phi_max = real(order, adj)
+        if order == 3 and sum(row.bit_count() for row in adj) == 2:
+            return phi, phi + 1
+        return phi, phi_max
+
+    monkeypatch.setattr(extremal, "_phi_pair", inverted_on_single_edges)
+    report = _small_bounds(order_max=4)
+    found = [v for v in report.violations if v.check == "phi-max-le-phi"]
+    assert sorted(v.graph6 for v in found) == sorted(
+        serialize_graph6(Graph.from_edges(3, [e])) for e in ((0, 1), (0, 2), (1, 2))
+    )
+    assert {v.check for v in report.violations} == {"phi-max-le-phi"}
+    assert clean.passed
+    # one passing check per order becomes one failing check per graph
+    assert report.checks == clean.checks + 2
+
+
+def test_classes_canonicalise_each_class_once(monkeypatch):
+    rng = random.Random(4)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(extremal, "canonical_form", counted)
+    for order in range(1, 7):
+        picks = [random_graph(rng, order, p) for p in (0.3, 0.5, 0.7)]
+        masks = []
+        for g in picks:
+            for _ in range(5):
+                perm = list(range(order))
+                rng.shuffle(perm)
+                masks.append(
+                    Graph.from_edges(order, [(perm[i], perm[j]) for i, j in g.edges()]).edge_mask()
+                )
+        rng.shuffle(masks)
+        expected = sorted({canonical_form(g) for g in picks})
+        calls.clear()
+        assert _Best(0, masks).classes(order) == expected
+        assert len(calls) == len(expected)
 
 
 def test_random_graph_is_seed_deterministic():
