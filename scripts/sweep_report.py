@@ -5,8 +5,10 @@ Usage:
     python scripts/sweep_report.py [--orders 1-7] [--filter all|triangle-free|bipartite]
                                    [--quantity phi|phi_max] [--workers W] [--allow-long]
 
-The order-8 sweep iterates 2^28 labeled graphs and takes hours; it only runs
-with --allow-long.  Attaining graphs are printed as canonical graph6 strings.
+Sweeps visit one graph per isomorphism class; "scanned" counts the labeled
+graphs those classes stand for.  The order-8 sweep (2^28 labeled graphs) only
+runs with --allow-long.  Attaining graphs are printed as canonical graph6
+strings.
 """
 
 from __future__ import annotations

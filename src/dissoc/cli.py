@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     common.add_argument(
         "--allow-long", action="store_true",
-        help="permit long-running order-8 exhaustive sweeps",
+        help="permit order-8 exhaustive sweeps",
     )
     common.add_argument("--limit", type=_non_negative_int, default=None,
                         help="truncate listings after this many sets")

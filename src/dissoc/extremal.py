@@ -1,15 +1,14 @@
 """Exhaustive desk-scale verification of dissociation-set extremal facts.
 
-Sweeps generate the labeled graphs of a given order one vertex at a time, so
-only graphs of the requested class (triangle-free / bipartite / connected) are
-ever built, compute phi or phi' via the branching enumerator, and report the
-maximum together with all attaining graphs up to isomorphism.  A sweep is
-split into one task per admitted graph on its first order-2 vertices; the
-tasks run in turn or on a process pool, and the bounds suite runs the same
-scan.  The verify_* operations package the checkable claims: closed-form
-family values, the 10^(n/5) and 6^(n/4) bounds with their equality
-characterizations, the per-pivot counting recurrences, and the path/cycle
-bounds.
+Sweeps generate one graph per isomorphism class of a given order, one vertex
+at a time and only inside the requested class (triangle-free / bipartite /
+connected), compute phi or phi' via the branching enumerator, and report the
+maximum together with all attaining classes.  A sweep is split into one task
+per admitted class on its first order-2 vertices; the tasks run in turn or on
+a process pool, and the bounds suite runs the same scan.  The verify_*
+operations package the checkable claims: closed-form family values, the
+10^(n/5) and 6^(n/4) bounds with their equality characterizations, the
+per-pivot counting recurrences, and the path/cycle bounds.
 
 Bound checks are exact integer comparisons: phi <= 10^(n/5) is decided as
 phi^5 <= 10^n, phi <= 6^(n/4) as phi^4 <= 6^n, and phi < 0.81 * 6^(n/4) as
@@ -22,10 +21,11 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations, combinations_with_replacement
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .branching import _pivot_partition, count, maximal_masks
-from .canonical import canonical_form, relabelled_masks
+from .canonical import _least, canonical_form
 from .graph6 import serialize_graph6
 from .graphs import (
     Graph,
@@ -46,7 +46,7 @@ EDGE_PROBABILITIES = (0.2, 0.5, 0.8)
 
 
 class SweepRefusedError(RuntimeError):
-    """A long-running sweep was requested without the explicit opt-in flag."""
+    """An order-8 sweep was requested without the explicit opt-in flag."""
 
 
 @dataclass(frozen=True)
@@ -168,23 +168,26 @@ def random_bipartite_graph(rng: random.Random, order: int, p: float) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# labeled-graph generation by vertex addition
+# isomorphism classes by orderly generation
 # ---------------------------------------------------------------------------
 
 def _graphs(
-    order: int, filt: SweepFilter, j: int = 0, adj: tuple[int, ...] = (), mask: int = 0
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (edge mask, adjacency) for every labeled graph on `order` vertices
-    that `filt` admits and whose first j vertices induce the graph (mask, adj).
+    order: int, filt: SweepFilter, j: int = 0, adj: tuple[int, ...] = (), mask: int = 0, aut: int = 1
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """Yield (edge mask, adjacency, |Aut|) for one graph per isomorphism class
+    of `order` that `filt` admits, namely its canonical labelling, among the
+    classes whose first j vertices induce the canonical graph (mask, adj).
 
     Vertex j joins with a lower neighbourhood s, a subset of 0..j-1; its edges
-    are the mask bits from edge_index(0, j) on, so s shifts in whole.  Both
-    class filters are hereditary, so every prefix is pruned; connectivity is
-    decided at full order.
+    are the mask bits from edge_index(0, j) on, so s shifts in whole.  A child
+    is kept only when it is its own least labelling (Read's orderly
+    generation), so every class comes from one parent.  Both class filters
+    are hereditary, so every prefix is pruned; connectivity is decided at
+    full order.
     """
     if j == order:
         if not filt.connected_only or Graph(order, adj).is_connected():
-            yield mask, adj
+            yield mask, adj, aut
         return
     bit = 1 << j
     shift = edge_index(0, j)
@@ -200,7 +203,9 @@ def _graphs(
         grown = tuple(row | bit if s >> i & 1 else row for i, row in enumerate(adj)) + (s,)
         if filt.bipartite and not is_bipartite(j + 1, grown):
             continue
-        yield from _graphs(order, filt, j + 1, grown, mask | s << shift)
+        least = _least(j + 1, grown, stop_below=True)
+        if least is not None:
+            yield from _graphs(order, filt, j + 1, grown, mask | s << shift, least[1])
 
 
 def _phi_pair(order: int, adj: Sequence[int]) -> tuple[int, int]:
@@ -223,27 +228,20 @@ class _Best:
             self.masks.extend(masks)
 
     def classes(self, order: int) -> list[str]:
-        """Canonical graph6 strings of the attaining isomorphism classes: each
-        class is canonicalised once, and its relabellings cover its witnesses."""
-        forms = []
-        covered: set[int] = set()
-        for m in self.masks:
-            if m not in covered:
-                g = Graph.from_edge_mask(order, m)
-                forms.append(canonical_form(g))
-                covered |= relabelled_masks(g)
-        return sorted(forms)
+        """Canonical graph6 strings of the attaining isomorphism classes; every
+        witness is already its class's canonical labelling."""
+        return sorted(serialize_mask(order, m) for m in self.masks)
 
 
 def _scan_head(args: tuple) -> tuple[int, dict[str, _Best], list[int]]:
-    """Extend one admitted graph on the first vertices to every admitted graph
-    of full order, and return what _scan returns for those graphs."""
-    order, filt, (mask, adj) = args
+    """Extend one admitted class on the first vertices to every admitted class
+    of full order, and return what _scan returns for those classes."""
+    order, filt, (mask, adj, head_aut) = args
     admitted = 0
     best = {"phi": _Best(), "phi_max": _Best()}
     inverted = []
-    for m, a in _graphs(order, filt, len(adj), adj, mask):
-        admitted += 1
+    for m, a, aut in _graphs(order, filt, len(adj), adj, mask, head_aut):
+        admitted += factorial(order) // aut  # labeled graphs in the class
         phi, phi_max = _phi_pair(order, a)
         best["phi"].add(phi, (m,))
         best["phi_max"].add(phi_max, (m,))
@@ -253,9 +251,10 @@ def _scan_head(args: tuple) -> tuple[int, dict[str, _Best], list[int]]:
 
 
 def _scan(order: int, filt: SweepFilter, workers: int = 1) -> tuple[int, dict[str, _Best], list[int]]:
-    """Scan every labeled graph of `order` that `filt` admits: returns (graphs
-    admitted, the maxima of phi and phi' with their witness masks, the masks of
-    the graphs with phi' > phi).  Each admitted graph on the first order-2
+    """Scan every isomorphism class of `order` that `filt` admits: returns
+    (labeled graphs admitted, the maxima of phi and phi' with the canonical
+    edge masks of the classes attaining them, the canonical masks of the
+    classes with phi' > phi).  Each admitted class on the first order-2
     vertices is a task extending it to full order; with workers > 1 the tasks
     run on a process pool, and the merge is order-independent."""
     heads = _graphs(max(order - 2, 0), replace(filt, connected_only=False))
@@ -281,10 +280,11 @@ def _scan(order: int, filt: SweepFilter, workers: int = 1) -> tuple[int, dict[st
 
 @dataclass(frozen=True)
 class ExtremalRecord:
-    """Result of one sweep: the maximum value and its attaining graphs.
+    """Result of one sweep: the maximum value and its attaining classes.
 
     extremal_canonical holds one canonical graph6 string per isomorphism
     class; the canonical string doubles as the class representative.
+    graphs_scanned counts the labeled graphs the scanned classes stand for.
     """
 
     order: int
@@ -316,9 +316,8 @@ def _check_sweep_order(order: int, allow_long: bool) -> None:
     if order > SWEEP_FULL_ORDER_CAP and not allow_long:
         n_graphs = 1 << (order * (order - 1) // 2)
         raise SweepRefusedError(
-            f"a full sweep at order {order} iterates {n_graphs:,} labeled graphs "
-            f"(hours of CPU time on one core); pass allow_long=True / --allow-long "
-            f"to run it anyway"
+            f"a full sweep at order {order} covers {n_graphs:,} labeled graphs; "
+            f"pass allow_long=True / --allow-long to run it anyway"
         )
 
 
@@ -330,12 +329,12 @@ def sweep(
     allow_long: bool = False,
     workers: int = 1,
 ) -> ExtremalRecord:
-    """Scan every labeled graph of `order` that `filt` admits and record the
-    maximum quantity.
+    """Scan every isomorphism class of `order` that `filt` admits and record
+    the maximum quantity.
 
-    graphs_scanned counts the graphs admitted by the filter.  The record is
-    identical for any worker count, and verify_asymptotic_bounds runs the
-    same scan.
+    graphs_scanned counts the labeled graphs admitted by the filter, as the
+    sum of order!/|Aut| over the classes.  The record is identical for any
+    worker count, and verify_asymptotic_bounds runs the same scan.
     """
     if quantity not in ("phi", "phi_max"):
         raise ValueError(f"quantity must be 'phi' or 'phi_max', got {quantity!r}")
@@ -568,8 +567,8 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[dict]:
                     f"are {found}, expected {sorted(expected)}",
                 )
 
-    # phi' <= phi is tested on every graph in the scans: one violation per
-    # graph that breaks it, or one passing check
+    # phi' <= phi is tested on every class in the scans: one violation per
+    # class that breaks it, or one passing check
     if not inverted:
         report.expect(True, "phi-max-le-phi", f"order {order}: phi' <= phi")
     for mask in sorted(inverted):
@@ -582,12 +581,12 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[dict]:
 
     stray = sum(
         not is_triangle_free(order, adj)
-        for _, adj in _graphs(order, SweepFilter(bipartite=True))
+        for _, adj, _ in _graphs(order, SweepFilter(bipartite=True))
     )
     report.expect(
         not stray,
         "filter-soundness",
-        f"order {order}: {stray} bipartite graphs flagged as having triangles",
+        f"order {order}: {stray} bipartite classes flagged as having triangles",
     )
 
     if order == 8:

@@ -167,7 +167,7 @@ def test_criterion_8_order8_sweep_is_gated():
     """The order-8 full sweep is excluded from desk-scale acceptance: it must
     refuse without the explicit flag, and its expected outcome (max 36 on the
     two-block 4-clique classes) is corroborated by direct family counts.  The
-    full run is available via `pytest -m long` or `--allow-long`."""
+    full run is tests/test_long_sweep.py, or `--allow-long`."""
     with pytest.raises(SweepRefusedError) as exc:
         sweep(8)
     refusal_names_cost = "268,435,456" in str(exc.value)
@@ -181,6 +181,6 @@ def test_criterion_8_order8_sweep_is_gated():
     ok = refusal_names_cost and all(v == 36 for v in pair_counts.values())
     _report(8, ok, "order-8 sweep refused without flag; two-block 4-clique "
                    f"counts {sorted(set(pair_counts.values()))} == [36]; full sweep "
-                   "runs only with -m long / --allow-long")
+                   "runs only with allow_long / --allow-long")
     assert refusal_names_cost
     assert all(v == 36 for v in pair_counts.values())

@@ -1,6 +1,6 @@
-"""Canonical forms: equality exactly for isomorphic graphs of order <= 8."""
+"""Canonical forms: equality exactly for isomorphic graphs of order <= 8, and the
+least-labelling search behind them."""
 
-import random
 from itertools import combinations
 
 import pytest
@@ -16,9 +16,11 @@ from dissoc import (
     cycle_graph,
     k_star_graph,
     parse_graph6,
+    serialize_graph6,
 )
-from dissoc.canonical import relabelled_masks
+from dissoc.canonical import _least
 
+from labeled import relabellings
 from strategies import graphs
 
 
@@ -42,8 +44,6 @@ def test_k5_minus_any_single_edge_is_one_class():
 def test_rejects_order_above_8():
     with pytest.raises(UnsupportedSizeError):
         canonical_form(complete_graph(9))
-    with pytest.raises(UnsupportedSizeError):
-        relabelled_masks(complete_graph(9))
 
 
 # the canonical strings of every class of order 4 and 5 (A000088: 11 and 34)
@@ -63,14 +63,27 @@ def test_canonical_strings_are_pinned(order):
     assert sorted(forms) == CANONICAL_FORMS[order].split()
 
 
-def test_relabelled_masks_are_the_isomorphism_class():
+def _check_least_counts_automorphisms(g):
+    columns, aut = _least(g.order, g.adj)
+    # brute force: the vertex permutations that map the edge mask onto itself
+    assert aut == sum(mask == g.edge_mask() for mask in relabellings(g))
+    # the search under stop_below passes exactly on canonical labellings
+    canonical = serialize_graph6(g) == canonical_form(g)
+    assert (_least(g.order, g.adj, stop_below=True) is not None) == canonical
+    if canonical:
+        assert _least(g.order, g.adj, stop_below=True) == (columns, aut)
+
+
+def test_least_counts_the_automorphisms():
     for order in range(6):
-        classes = {}
         for mask in range(1 << (order * (order - 1) // 2)):
-            form = canonical_form(Graph.from_edge_mask(order, mask))
-            classes.setdefault(form, set()).add(mask)
-        for members in classes.values():
-            assert relabelled_masks(Graph.from_edge_mask(order, max(members))) == members
+            _check_least_counts_automorphisms(Graph.from_edge_mask(order, mask))
+
+
+@settings(deadline=None)
+@given(graphs(min_order=6, max_order=7))
+def test_least_counts_the_automorphisms_of_larger_graphs(g):
+    _check_least_counts_automorphisms(g)
 
 
 def test_null_graph_canonical_form():

@@ -144,6 +144,33 @@ def test_non_graph6_byte_is_a_line_error_naming_the_byte(source, tmp_path, monke
     assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["C]", "Bw"]
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_crlf_line_endings_read_as_lf(source, tmp_path, monkeypatch, capsys):
+    def run(text):
+        if source == "file":
+            path = tmp_path / "graphs.g6"
+            path.write_bytes(text.encode())
+            return run_cli(["count", str(path)], monkeypatch=monkeypatch, capsys=capsys)
+        return run_cli(["count"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+
+    lf = "C~\nBW\n\nD~{\n"
+    assert run(lf.replace("\n", "\r\n")) == run(lf)
+    assert run(lf)[0] == 0
+
+
+def test_header_and_inner_whitespace_are_line_errors(monkeypatch, capsys):
+    stdin = "C~\n>>graph6<<C~\nB W\nBW\n"
+    code, out, err = run_cli(
+        ["count", "--format", "csv"], stdin_text=stdin, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 1
+    assert err == (
+        "line 2: byte 62 at position 0 outside the graph6 range 63..126\n"
+        "line 3: byte 32 at position 1 outside the graph6 range 63..126\n"
+    )
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["C~", "BW"]
+
+
 def test_missing_input_file_is_an_error_line(tmp_path, monkeypatch, capsys):
     missing = tmp_path / "missing.g6"
     code, out, err = run_cli(["count", str(missing)], monkeypatch=monkeypatch, capsys=capsys)

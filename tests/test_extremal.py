@@ -23,7 +23,6 @@ from dissoc import (
     parse_graph6,
     random_bipartite_graph,
     random_graph,
-    serialize_graph6,
     sweep,
     verify_asymptotic_bounds,
     verify_family_values,
@@ -33,13 +32,13 @@ from dissoc import (
 from dissoc import extremal
 from dissoc.extremal import (
     VerificationReport,
-    _Best,
     _below_path_bound,
-    _graphs,
     _within_general_bound,
     _within_triangle_free_bound,
+    serialize_mask,
 )
 
+from labeled import labeled_graphs as _graphs, relabellings
 from strategies import graphs
 
 FILTERS = {
@@ -111,6 +110,68 @@ def test_generator_counts_the_labeled_classes(name):
         for order in range(len(LABELED_CLASS_COUNTS[name]))
     )
     assert got == LABELED_CLASS_COUNTS[name]
+
+
+# isomorphism classes for n = 0, 1, 2, ...: A000088, A001349, A006785 and
+# A024607 (whose n = 0 term, the null graph, counts as connected here)
+CLASS_COUNTS = {
+    "all": (1, 1, 2, 4, 11, 34, 156, 1044),
+    "connected": (1, 1, 1, 2, 6, 21, 112, 853),
+    "triangle-free": (1, 1, 2, 3, 7, 14, 38, 107, 410),
+    "triangle-free+connected": (1, 1, 1, 1, 3, 6, 19, 59, 267),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CLASS_COUNTS))
+def test_class_generator_counts_the_isomorphism_classes(label):
+    filt = SweepFilter(
+        triangle_free="triangle-free" in label, connected_only="connected" in label
+    )
+    got = tuple(
+        sum(1 for _ in extremal._graphs(order, filt))
+        for order in range(len(CLASS_COUNTS[label]))
+    )
+    assert got == CLASS_COUNTS[label]
+
+
+def _labeled_count(name, order):
+    if name == "all":
+        return 1 << (order * (order - 1) // 2)
+    return LABELED_CLASS_COUNTS[name][order]
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [(name, order) for name in sorted(FILTERS) for order in range(7)],
+)
+def test_class_representatives_are_the_canonical_forms(name, order):
+    filt = FILTERS[name]
+    classes = list(extremal._graphs(order, filt))
+    for mask, adj, _ in classes:
+        assert adj == Graph.from_edge_mask(order, mask).adj
+    assert {serialize_mask(order, mask) for mask, _, _ in classes} == {
+        canonical_form(Graph(order, adj)) for _, adj in _graphs(order, filt)
+    }
+    # orbit-stabiliser: each class holds order!/|Aut| labeled graphs
+    assert sum(math.factorial(order) // aut for _, _, aut in classes) == _labeled_count(name, order)
+
+
+@pytest.mark.parametrize("name", ["bipartite", "triangle-free"])
+def test_order7_class_orbits_partition_the_labeled_graphs(name):
+    """At order 7 the labeled walk is checked against the relabellings of each
+    representative rather than canonicalised graph by graph."""
+    filt = FILTERS[name]
+    covered = set()
+    total = 0
+    for mask, adj, aut in extremal._graphs(7, filt):
+        assert canonical_form(Graph(7, adj)) == serialize_mask(7, mask)
+        members = set(relabellings(Graph(7, adj)))
+        assert len(members) == math.factorial(7) // aut
+        covered |= members
+        total += len(members)
+    walk = {mask for mask, _ in _graphs(7, filt)}
+    assert covered == walk
+    assert total == len(walk) == _labeled_count(name, 7)
 
 
 def test_sweep_order4_triangle_free():
@@ -301,17 +362,16 @@ def test_bounds_report_every_graph_with_phi_max_above_phi(monkeypatch):
     monkeypatch.setattr(extremal, "_phi_pair", inverted_on_single_edges)
     report = _small_bounds(order_max=4)
     found = [v for v in report.violations if v.check == "phi-max-le-phi"]
-    assert sorted(v.graph6 for v in found) == sorted(
-        serialize_graph6(Graph.from_edges(3, [e])) for e in ((0, 1), (0, 2), (1, 2))
-    )
+    # the scans visit isomorphism classes: the three one-edge graphs of order
+    # 3 are one violation, named by the class representative
+    assert [v.graph6 for v in found] == [canonical_form(Graph.from_edges(3, [(0, 1)]))]
     assert {v.check for v in report.violations} == {"phi-max-le-phi"}
     assert clean.passed
-    # one passing check per order becomes one failing check per graph
-    assert report.checks == clean.checks + 2
+    # the passing check at order 3 becomes the one failing check
+    assert report.checks == clean.checks
 
 
-def test_classes_canonicalise_each_class_once(monkeypatch):
-    rng = random.Random(4)
+def test_sweep_makes_no_canonical_form_calls(monkeypatch):
     calls = []
 
     def counted(g):
@@ -319,21 +379,10 @@ def test_classes_canonicalise_each_class_once(monkeypatch):
         return canonical_form(g)
 
     monkeypatch.setattr(extremal, "canonical_form", counted)
-    for order in range(1, 7):
-        picks = [random_graph(rng, order, p) for p in (0.3, 0.5, 0.7)]
-        masks = []
-        for g in picks:
-            for _ in range(5):
-                perm = list(range(order))
-                rng.shuffle(perm)
-                masks.append(
-                    Graph.from_edges(order, [(perm[i], perm[j]) for i, j in g.edges()]).edge_mask()
-                )
-        rng.shuffle(masks)
-        expected = sorted({canonical_form(g) for g in picks})
-        calls.clear()
-        assert _Best(0, masks).classes(order) == expected
-        assert len(calls) == len(expected)
+    for filt in FILTERS.values():
+        for order in range(7):
+            sweep(order, filt)
+    assert calls == []
 
 
 def test_random_graph_is_seed_deterministic():

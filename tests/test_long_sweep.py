@@ -1,11 +1,8 @@
-"""Opt-in order-8 full sweep (hours of CPU time): pytest -m long."""
-
-import pytest
+"""The order-8 full sweep over all 12,346 isomorphism classes (2^28 labeled graphs)."""
 
 from dissoc import SweepFilter, canonical_form, disjoint_union, k_star_graph, sweep
 
 
-@pytest.mark.long
 def test_order8_full_sweep_maximum_is_36_on_two_block_4_cliques():
     rec = sweep(8, SweepFilter(), allow_long=True, workers=2)
     assert rec.max_value == 36
