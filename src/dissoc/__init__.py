@@ -8,8 +8,6 @@ codec, and an exhaustive small-order verification harness.
 
 from .branching import (
     CountResult,
-    PivotPartition,
-    classify_by_pivot,
     count,
     enumerate_maximal,
     maximal_masks,
@@ -17,8 +15,6 @@ from .branching import (
 )
 from .canonical import CANONICAL_ORDER_CAP, canonical_form
 from .extremal import (
-    BOUNDS,
-    BoundConstants,
     ExtremalRecord,
     SweepFilter,
     SweepRefusedError,
@@ -37,11 +33,9 @@ from .extremal import (
 from .graph6 import GRAPH6_ORDER_CAP, Graph6Error, parse_graph6, serialize_graph6
 from .graphs import (
     ENUMERATION_ORDER_CAP,
-    FamilySpec,
     FamilySpecError,
     Graph,
     UnsupportedSizeError,
-    build,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -63,29 +57,23 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUNDS",
-    "BoundConstants",
     "CANONICAL_ORDER_CAP",
     "CountResult",
     "DissociationFamily",
     "ENUMERATION_ORDER_CAP",
     "ExtremalRecord",
-    "FamilySpec",
     "FamilySpecError",
     "GRAPH6_ORDER_CAP",
     "Graph",
     "Graph6Error",
     "ORACLE_ORDER_CAP",
     "OracleTimeoutError",
-    "PivotPartition",
     "SweepFilter",
     "SweepRefusedError",
     "UnsupportedSizeError",
     "VerificationReport",
     "Violation",
-    "build",
     "canonical_form",
-    "classify_by_pivot",
     "complete_bipartite_graph",
     "complete_graph",
     "count",

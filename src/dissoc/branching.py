@@ -118,19 +118,6 @@ def maximal_masks(order: int, adj: Sequence[int], within: int | None = None) -> 
 
 
 @dataclass(frozen=True)
-class PivotPartition:
-    """Counts of maximal dissociation sets by the status of one pivot vertex."""
-
-    excluded_count: int
-    degree0_count: int
-    degree1_count: int
-
-    @property
-    def total(self) -> int:
-        return self.excluded_count + self.degree0_count + self.degree1_count
-
-
-@dataclass(frozen=True)
 class CountResult:
     phi: int          # number of maximal dissociation sets
     phi_max: int      # number of maximum dissociation sets
@@ -177,25 +164,17 @@ def count(g: Graph) -> CountResult:
     return CountResult(phi, phi_max, psi, time.perf_counter() - t0)
 
 
-def _pivot_partition(family: Sequence[int], adj: Sequence[int], v: int) -> PivotPartition:
-    """Split a family of vertex masks by the status of pivot v in each set."""
+def _pivot_partition(family: Sequence[int], adj: Sequence[int], v: int) -> tuple[int, int, int]:
+    """Split a family of vertex masks by the status of pivot v in each set:
+    (excluded, isolated in the set, paired with one neighbour in the set)."""
     vb = 1 << v
-    excluded = degree1 = 0
+    excluded = paired = 0
     for m in family:
         if not m & vb:
             excluded += 1
         elif adj[v] & m:
-            degree1 += 1
-    return PivotPartition(excluded, len(family) - excluded - degree1, degree1)
-
-
-def classify_by_pivot(g: Graph, v: int) -> PivotPartition:
-    """Split the maximal dissociation sets by whether v is absent, isolated
-    inside the set, or paired with one neighbour inside the set."""
-    check_enumeration_order(g.order)
-    if not 0 <= v < g.order:
-        raise IndexError(f"vertex {v} out of range for order {g.order}")
-    return _pivot_partition(maximal_masks(g.order, g.adj), g.adj, v)
+            paired += 1
+    return excluded, len(family) - excluded - paired, paired
 
 
 def _lex_less(a: int, b: int) -> bool:

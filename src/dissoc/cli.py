@@ -25,11 +25,16 @@ from .extremal import (
 from .graph6 import Graph6Error, parse_graph6, serialize_graph6
 from .graphs import (
     ENUMERATION_ORDER_CAP,
-    FamilySpec,
     FamilySpecError,
+    Graph,
     UnsupportedSizeError,
-    build,
     check_enumeration_order,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    k_star_graph,
+    path_graph,
 )
 
 VERIFY_SUITES = ("bounds", "families", "recurrences", "paths-cycles", "all")
@@ -39,9 +44,19 @@ class SpecGrammarError(ValueError):
     """A family spec string does not match the gen grammar."""
 
 
-def parse_family_string(text: str) -> FamilySpec:
-    """Parse the gen grammar: path:N, cycle:N, complete:N, kmn:M,N,
-    kstar:M,I, union:(spec;spec;...).  Unions nest."""
+# gen family kinds: (number of parameters, builder)
+_FAMILIES = {
+    "path": (1, path_graph),
+    "cycle": (1, cycle_graph),
+    "complete": (1, complete_graph),
+    "kmn": (2, complete_bipartite_graph),
+    "kstar": (2, k_star_graph),
+}
+
+
+def parse_family_string(text: str) -> Graph:
+    """Build the graph named in the gen grammar: path:N, cycle:N, complete:N,
+    kmn:M,N, kstar:M,I, union:(spec;spec;...).  Unions nest."""
     text = text.strip()
     if text.startswith("union:"):
         body = text[len("union:"):]
@@ -63,7 +78,7 @@ def parse_family_string(text: str) -> FamilySpec:
         parts = [p for p in parts if p.strip()]
         if not parts:
             raise SpecGrammarError(f"union needs at least one member spec: {text!r}")
-        return FamilySpec.disjoint_union(*(parse_family_string(p) for p in parts))
+        return disjoint_union(*(parse_family_string(p) for p in parts))
     if ":" not in text:
         raise SpecGrammarError(f"expected kind:params, got {text!r}")
     kind, _, params = text.partition(":")
@@ -71,22 +86,14 @@ def parse_family_string(text: str) -> FamilySpec:
         numbers = [int(tok) for tok in params.split(",")]
     except ValueError:
         raise SpecGrammarError(f"non-integer parameter in {text!r}") from None
-    arity = {"path": 1, "cycle": 1, "complete": 1, "kmn": 2, "kstar": 2}
-    if kind not in arity:
+    if kind not in _FAMILIES:
         raise SpecGrammarError(f"unknown family kind {kind!r} in {text!r}")
-    if len(numbers) != arity[kind]:
+    arity, builder = _FAMILIES[kind]
+    if len(numbers) != arity:
         raise SpecGrammarError(
-            f"{kind} takes {arity[kind]} parameter(s), got {len(numbers)} in {text!r}"
+            f"{kind} takes {arity} parameter(s), got {len(numbers)} in {text!r}"
         )
-    if kind == "path":
-        return FamilySpec.path(numbers[0])
-    if kind == "cycle":
-        return FamilySpec.cycle(numbers[0])
-    if kind == "complete":
-        return FamilySpec.complete(numbers[0])
-    if kind == "kmn":
-        return FamilySpec.complete_bipartite(numbers[0], numbers[1])
-    return FamilySpec.k_star(numbers[0], numbers[1])
+    return builder(*numbers)
 
 
 def _read_graph_lines(source: str | None) -> list[tuple[int, str]]:
@@ -213,9 +220,8 @@ def _cmd_max(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    lines = []
-    for spec_text in args.spec:
-        lines.append(serialize_graph6(build(parse_family_string(spec_text))))
+    # build every graph before printing, so a bad spec prints none
+    lines = [serialize_graph6(parse_family_string(text)) for text in args.spec]
     for line in lines:
         print(line)
     return 0
@@ -276,18 +282,11 @@ def _non_negative_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument(
         "--format", choices=("table", "json", "csv"), default="table",
         help="output format (default: table)",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument(
-        "--allow-long", action="store_true",
-        help="permit order-8 exhaustive sweeps",
-    )
-    common.add_argument("--limit", type=_non_negative_int, default=None,
-                        help="truncate listings after this many sets")
 
     parser = argparse.ArgumentParser(
         prog="dissoc",
@@ -295,22 +294,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[formatted],
                        help="phi, phi' and the dissociation number per input graph")
     p.add_argument("input", nargs="?", default="-", help="graph6 file, or - for stdin")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[formatted],
                        help="list every maximal dissociation set per input graph")
     p.add_argument("input", nargs="?", default="-", help="graph6 file, or - for stdin")
+    p.add_argument("--limit", type=_non_negative_int, default=None,
+                   help="truncate listings after this many sets")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("max", parents=[common],
+    p = sub.add_parser("max", parents=[formatted],
                        help="one maximum dissociation set per input graph")
     p.add_argument("input", nargs="?", default="-", help="graph6 file, or - for stdin")
     p.set_defaults(func=_cmd_max)
 
-    p = sub.add_parser("gen", parents=[common], help="emit named family graphs as graph6")
+    p = sub.add_parser("gen", help="emit named family graphs as graph6")
     p.add_argument(
         "spec", nargs="+",
         help="family spec(s): path:N cycle:N complete:N kmn:M,N kstar:M,I "
@@ -318,16 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[formatted], help="run a verification suite")
     p.add_argument("suite", choices=VERIFY_SUITES)
-    p.add_argument("--order-max", type=int, default=6,
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    p.add_argument(
+        "--allow-long", action="store_true",
+        help="permit order-8 exhaustive sweeps",
+    )
+    p.add_argument("--order-max", type=_non_negative_int, default=6,
                    help="largest order for exhaustive bound sweeps (default 6)")
-    p.add_argument("--t-max", type=int, default=3,
+    p.add_argument("--t-max", type=_non_negative_int, default=3,
                    help="largest block count for family tables (default 3)")
-    p.add_argument("--n-max", type=int, default=20,
+    p.add_argument("--n-max", type=_non_negative_int, default=20,
                    help=f"largest path/cycle length (default 20, "
                         f"at most {ENUMERATION_ORDER_CAP})")
-    p.add_argument("--trials", type=int, default=200,
+    p.add_argument("--trials", type=_non_negative_int, default=200,
                    help="random graphs for the recurrence suite (default 200)")
     p.set_defaults(func=_cmd_verify)
     return parser

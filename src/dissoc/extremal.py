@@ -12,7 +12,7 @@ per-pivot counting recurrences, and the path/cycle bounds.
 
 Bound checks are exact integer comparisons: phi <= 10^(n/5) is decided as
 phi^5 <= 10^n, phi <= 6^(n/4) as phi^4 <= 6^n, and phi < 0.81 * 6^(n/4) as
-100^4 * phi^4 < 81^4 * 6^n.  The float constants in BOUNDS only label output.
+100^4 * phi^4 < 81^4 * 6^n.  Floats appear only in failure messages.
 """
 
 from __future__ import annotations
@@ -47,18 +47,6 @@ EDGE_PROBABILITIES = (0.2, 0.5, 0.8)
 
 class SweepRefusedError(RuntimeError):
     """An order-8 sweep was requested without the explicit opt-in flag."""
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Growth constants of the two universal bounds, and the path coefficient."""
-
-    alpha: float = 10 ** 0.2      # ~1.58489, general graphs
-    beta: float = 6 ** 0.25       # ~1.56508, triangle-free graphs
-    path_coefficient: float = 0.81
-
-
-BOUNDS = BoundConstants()
 
 
 def _within_general_bound(phi: int, order: int) -> bool:
@@ -309,6 +297,8 @@ class ExtremalRecord:
 
 
 def _check_sweep_order(order: int, allow_long: bool) -> None:
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     if order > SWEEP_LONG_ORDER_CAP:
         raise UnsupportedSizeError(
             f"exhaustive sweeps are capped at order {SWEEP_LONG_ORDER_CAP}, got {order}"
@@ -689,33 +679,33 @@ def _check_pivot_recurrence(g: Graph, report: VerificationReport, g6: str) -> No
     phi = len(family)
     closed = [adj[v] | 1 << v for v in range(g.order)]
     for v in range(g.order):
-        part = _pivot_partition(family, adj, v)
+        excluded, isolated, paired = _pivot_partition(family, adj, v)
         phi_without = _phi_without(g, 1 << v)
         phi_isolated = _phi_without(g, closed[v])
         paired_sum = sum(_phi_without(g, closed[v] | closed[u]) for u in _members(adj[v]))
 
         report.expect(
-            part.total == phi,
+            excluded + isolated + paired == phi,
             "pivot-partition-total",
-            f"{g6} v={v}: partition parts sum to {part.total}, phi={phi}",
+            f"{g6} v={v}: partition parts sum to {excluded + isolated + paired}, phi={phi}",
             graph6=g6,
         )
         report.expect(
-            part.excluded_count <= phi_without,
+            excluded <= phi_without,
             "pivot-excluded-part",
-            f"{g6} v={v}: excluded part {part.excluded_count} > phi(G-v)={phi_without}",
+            f"{g6} v={v}: excluded part {excluded} > phi(G-v)={phi_without}",
             graph6=g6,
         )
         report.expect(
-            part.degree0_count <= phi_isolated,
+            isolated <= phi_isolated,
             "pivot-degree0-part",
-            f"{g6} v={v}: isolated part {part.degree0_count} > phi(G-N[v])={phi_isolated}",
+            f"{g6} v={v}: isolated part {isolated} > phi(G-N[v])={phi_isolated}",
             graph6=g6,
         )
         report.expect(
-            part.degree1_count <= paired_sum,
+            paired <= paired_sum,
             "pivot-degree1-part",
-            f"{g6} v={v}: paired part {part.degree1_count} > sum over neighbours {paired_sum}",
+            f"{g6} v={v}: paired part {paired} > sum over neighbours {paired_sum}",
             graph6=g6,
         )
         dominated = any(not closed[w] & ~closed[v] for w in _members(adj[v]))
@@ -723,9 +713,9 @@ def _check_pivot_recurrence(g: Graph, report: VerificationReport, g6: str) -> No
             # some neighbour's closed neighbourhood sits inside N[v]: v can
             # never be isolated in a maximal set, and the middle term drops
             report.expect(
-                part.degree0_count == 0,
+                isolated == 0,
                 "pivot-dominated-degree0",
-                f"{g6} v={v}: dominated pivot has isolated part {part.degree0_count}",
+                f"{g6} v={v}: dominated pivot has isolated part {isolated}",
                 graph6=g6,
             )
             report.expect(
@@ -831,7 +821,7 @@ def verify_path_cycle_bounds(n_max: int = 20) -> VerificationReport:
             _below_path_bound(phi, n),
             "path-bound",
             f"phi(P_{n})={phi} is not strictly below 0.81 * 6^(n/4)="
-            f"{BOUNDS.path_coefficient * BOUNDS.beta ** n:.6f}",
+            f"{0.81 * (6 ** 0.25) ** n:.6f}",
         )
         paths.append({"n": n, "phi": phi})
     cycles = []
@@ -843,7 +833,7 @@ def verify_path_cycle_bounds(n_max: int = 20) -> VerificationReport:
             report.expect(
                 phi ** 4 < 6 ** n,
                 "cycle-bound",
-                f"phi(C_{n})={phi} is not strictly below 6^(n/4)={BOUNDS.beta ** n:.6f}",
+                f"phi(C_{n})={phi} is not strictly below 6^(n/4)={(6 ** 0.25) ** n:.6f}",
             )
         cycles.append({"n": n, "phi": phi})
     report.details["paths"] = paths

@@ -1,18 +1,20 @@
-"""Small-graph core: bitmask adjacency, named graph families, vertex deletion.
+"""Small-graph core: bitmask adjacency and the named graph families.
 
 Graphs are immutable and live on vertex indices 0..order-1.  Adjacency is
 stored as one bitmask per vertex (bit j of ``adj[i]`` set iff ij is an edge),
 which keeps neighbourhood algebra down to integer bit operations.  All
 counting and enumeration entry points cap the order at
 ``ENUMERATION_ORDER_CAP``; the graph type itself supports anything the graph6
-short form can express (order <= 62).
+short form can express (order <= 62).  ``delete_vertices_mapped`` builds
+G - S as a new graph; the package searches G - S in place on a vertex mask,
+and the tests hold that search to this reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 ENUMERATION_ORDER_CAP = 32
 
@@ -147,20 +149,6 @@ class Graph:
         return self.order <= 1 or self.component_count() == 1
 
 
-def neighborhood(g: Graph, v: int, closed: bool = False) -> set[int]:
-    """Open neighbourhood N(v), or closed neighbourhood N[v] = N(v) + {v}."""
-    if not 0 <= v < g.order:
-        raise IndexError(f"vertex {v} out of range for order {g.order}")
-    m = g.adj[v]
-    out = set()
-    while m:
-        out.add((m & -m).bit_length() - 1)
-        m &= m - 1
-    if closed:
-        out.add(v)
-    return out
-
-
 def delete_vertices_mapped(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the complement of `vertices`, plus the index map.
 
@@ -182,11 +170,6 @@ def delete_vertices_mapped(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tu
             m &= m - 1
             adj[new] |= 1 << relabel[w]
     return Graph(len(kept), tuple(adj)), kept
-
-
-def delete_vertices(g: Graph, vertices: Iterable[int]) -> Graph:
-    """G - S: the induced subgraph on V minus `vertices`, compactly relabelled."""
-    return delete_vertices_mapped(g, vertices)[0]
 
 
 # Named families.  Vertex labelling conventions: paths/cycles run 0-1-2-...,
@@ -241,70 +224,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
         adj.extend(row << offset for row in g.adj)
         offset += g.order
     return Graph(order, tuple(adj))
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Declarative description of a named graph family.
-
-    kind is one of path/cycle/complete/complete_bipartite/k_star with integer
-    args, or disjoint_union with nested parts.
-    """
-
-    kind: str
-    args: tuple[int, ...] = ()
-    parts: tuple["FamilySpec", ...] = ()
-
-    @classmethod
-    def path(cls, n: int) -> "FamilySpec":
-        return cls("path", (n,))
-
-    @classmethod
-    def cycle(cls, n: int) -> "FamilySpec":
-        return cls("cycle", (n,))
-
-    @classmethod
-    def complete(cls, n: int) -> "FamilySpec":
-        return cls("complete", (n,))
-
-    @classmethod
-    def complete_bipartite(cls, m: int, n: int) -> "FamilySpec":
-        return cls("complete_bipartite", (m, n))
-
-    @classmethod
-    def k_star(cls, m: int, i: int) -> "FamilySpec":
-        return cls("k_star", (m, i))
-
-    @classmethod
-    def disjoint_union(cls, *parts: "FamilySpec") -> "FamilySpec":
-        return cls("disjoint_union", (), tuple(parts))
-
-    def label(self) -> str:
-        if self.kind == "disjoint_union":
-            return " + ".join(p.label() for p in self.parts)
-        return f"{self.kind}({','.join(map(str, self.args))})"
-
-
-_BUILDERS = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "complete_bipartite": complete_bipartite_graph,
-    "k_star": k_star_graph,
-}
-
-
-def build(spec: FamilySpec) -> Graph:
-    """Materialize a FamilySpec as a labelled graph."""
-    if spec.kind == "disjoint_union":
-        return disjoint_union(*(build(p) for p in spec.parts))
-    builder = _BUILDERS.get(spec.kind)
-    if builder is None:
-        raise FamilySpecError(f"unknown family kind {spec.kind!r}")
-    try:
-        return builder(*spec.args)
-    except TypeError as exc:
-        raise FamilySpecError(f"bad arguments for {spec.kind}: {spec.args}") from exc
 
 
 def check_enumeration_order(order: int) -> None:

@@ -1,10 +1,11 @@
 """Brute-force ground truth for dissociation sets.
 
 A dissociation set is a vertex subset whose induced subgraph has maximum
-degree at most one.  Everything here scans all 2^n subsets and tests
-maximality by explicit single-vertex extension -- intentionally naive, so the
-fast enumerator has an independent referee.  Both hand their vertex bitmasks
-to DissociationFamily, which decodes each set once, into a sorted tuple.
+degree at most one.  One scan of all 2^n subsets tests each dissociation set
+for maximality by explicit single-vertex extension and tallies psi and phi'
+over all of them -- intentionally naive, so the fast enumerator has an
+independent referee.  Both hand their vertex bitmasks to DissociationFamily,
+which decodes each set once, into a sorted tuple.
 """
 
 from __future__ import annotations
@@ -100,65 +101,50 @@ class DissociationFamily:
         return tuple(sorted(set(item))) in self.sets
 
 
-def _check_cap(g: Graph) -> None:
+def _scan(g: Graph, time_limit: float) -> tuple[list[int], int, int]:
+    """One pass over all 2^n subsets: the maximal dissociation sets as
+    ascending bitmasks, the dissociation number psi, and phi', the number of
+    dissociation sets of size psi."""
     if g.order > ORACLE_ORDER_CAP:
         raise UnsupportedSizeError(
             f"brute-force oracle is capped at order {ORACLE_ORDER_CAP}, got {g.order}"
         )
-
-
-def _scan_dissociation_masks(g: Graph, time_limit: float) -> Iterator[int]:
-    """Yield all dissociation-set masks in increasing bitmask order."""
     adj = g.adj
     deadline = time.monotonic() + time_limit
+    maximal = []
+    psi = phi_max = 0
     for f in range(1 << g.order):
         if f & 0xFFF == 0 and time.monotonic() > deadline:
             raise OracleTimeoutError(
                 f"oracle subset scan exceeded {time_limit:.1f}s at order {g.order}"
             )
-        if _is_dissociation_mask(adj, f):
-            yield f
+        if not _is_dissociation_mask(adj, f):
+            continue
+        c = f.bit_count()
+        if c > psi:
+            psi, phi_max = c, 1
+        elif c == psi:
+            phi_max += 1
+        for w in range(g.order):
+            if not (f >> w) & 1 and _is_dissociation_mask(adj, f | (1 << w)):
+                break
+        else:
+            maximal.append(f)
+    return maximal, psi, phi_max
 
 
 def enumerate_maximal_bruteforce(
     g: Graph, time_limit: float = DEFAULT_TIME_LIMIT
 ) -> DissociationFamily:
     """Every maximal dissociation set of g, by scanning all 2^n subsets."""
-    _check_cap(g)
-    adj = g.adj
-    out = []
-    for f in _scan_dissociation_masks(g, time_limit):
-        maximal = True
-        for w in range(g.order):
-            if not (f >> w) & 1 and _is_dissociation_mask(adj, f | (1 << w)):
-                maximal = False
-                break
-        if maximal:
-            out.append(f)
-    return DissociationFamily.from_masks(g.order, out)
+    return DissociationFamily.from_masks(g.order, _scan(g, time_limit)[0])
 
 
 def dissociation_number(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> int:
     """Largest size of a dissociation set of g."""
-    _check_cap(g)
-    best = 0
-    for f in _scan_dissociation_masks(g, time_limit):
-        c = f.bit_count()
-        if c > best:
-            best = c
-    return best
+    return _scan(g, time_limit)[1]
 
 
 def count_maximum_bruteforce(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> int:
     """Number of dissociation sets of maximum size."""
-    _check_cap(g)
-    best = 0
-    count = 0
-    for f in _scan_dissociation_masks(g, time_limit):
-        c = f.bit_count()
-        if c > best:
-            best = c
-            count = 1
-        elif c == best:
-            count += 1
-    return count
+    return _scan(g, time_limit)[2]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dissoc import (
     Graph,
     UnsupportedSizeError,
-    classify_by_pivot,
     complete_bipartite_graph,
     complete_graph,
     count,
@@ -24,8 +23,8 @@ from dissoc import (
     maximum_dissociation_set,
     path_graph,
 )
-from dissoc.branching import candidate_masks
-from dissoc.graphs import delete_vertices, delete_vertices_mapped, neighborhood
+from dissoc.branching import _pivot_partition, candidate_masks
+from dissoc.graphs import delete_vertices_mapped
 
 from strategies import graphs
 
@@ -81,24 +80,20 @@ def test_count_fixtures(graph, phi, psi, phi_max):
     assert (result.phi, result.psi, result.phi_max) == (phi, psi, phi_max)
 
 
+def _partition(g, v):
+    return _pivot_partition(maximal_masks(g.order, g.adj), g.adj, v)
+
+
 def test_classify_cycle_pivot():
-    part = classify_by_pivot(cycle_graph(4), 0)
-    assert (part.excluded_count, part.degree0_count, part.degree1_count) == (3, 1, 2)
+    assert _partition(cycle_graph(4), 0) == (3, 1, 2)
 
 
 def test_classify_complete_graph_pivot():
-    part = classify_by_pivot(complete_graph(5), 0)
-    assert (part.excluded_count, part.degree0_count, part.degree1_count) == (6, 0, 4)
+    assert _partition(complete_graph(5), 0) == (6, 0, 4)
 
 
 def test_classify_single_vertex():
-    part = classify_by_pivot(complete_graph(1), 0)
-    assert (part.excluded_count, part.degree0_count, part.degree1_count) == (0, 1, 0)
-
-
-def test_classify_rejects_out_of_range_vertex():
-    with pytest.raises(IndexError):
-        classify_by_pivot(cycle_graph(4), 4)
+    assert _partition(complete_graph(1), 0) == (0, 1, 0)
 
 
 def test_maximum_set_examples():
@@ -137,22 +132,24 @@ def test_count_result_invariants(g):
 def test_pivot_partition_sums_to_phi(g):
     phi = count(g).phi
     for v in range(g.order):
-        assert classify_by_pivot(g, v).total == phi
+        assert sum(_partition(g, v)) == phi
 
 
 @settings(deadline=None)
 @given(graphs(min_order=2, max_order=6))
 def test_pivot_parts_bounded_by_deleted_subgraph_counts(g):
+    def phi_without(drop):
+        return count(delete_vertices_mapped(g, [w for w in range(g.order) if drop >> w & 1])[0]).phi
+
+    closed = [g.adj[v] | 1 << v for v in range(g.order)]
     for v in range(g.order):
-        part = classify_by_pivot(g, v)
-        closed = neighborhood(g, v, closed=True)
-        assert part.excluded_count <= count(delete_vertices(g, {v})).phi
-        assert part.degree0_count <= count(delete_vertices(g, closed)).phi
-        paired = sum(
-            count(delete_vertices(g, closed | neighborhood(g, u, closed=True))).phi
-            for u in neighborhood(g, v)
+        excluded, isolated, paired = _partition(g, v)
+        assert excluded <= phi_without(1 << v)
+        assert isolated <= phi_without(closed[v])
+        bound = sum(
+            phi_without(closed[v] | closed[u]) for u in range(g.order) if g.adj[v] >> u & 1
         )
-        assert part.degree1_count <= paired
+        assert paired <= bound
 
 
 @settings(deadline=None)
@@ -184,8 +181,7 @@ def test_strengthened_pivot_recurrence_on_k5():
     # every neighbour of the pivot has its closed neighbourhood inside the
     # pivot's, so the isolated part vanishes and phi(K5) = phi(K4) + 4*phi(null)
     g = complete_graph(5)
-    part = classify_by_pivot(g, 0)
-    assert part.degree0_count == 0
+    assert _partition(g, 0)[1] == 0
     assert count(g).phi == count(complete_graph(4)).phi + 4 * 1
 
 

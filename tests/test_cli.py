@@ -13,11 +13,12 @@ from dissoc import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    k_star_graph,
     parse_graph6,
+    path_graph,
     serialize_graph6,
 )
 from dissoc.cli import main, parse_family_string, SpecGrammarError
-from dissoc.graphs import FamilySpec
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -30,12 +31,11 @@ def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
 # --- gen grammar -----------------------------------------------------------
 
 def test_parse_family_strings():
-    assert parse_family_string("path:3") == FamilySpec.path(3)
-    assert parse_family_string("kmn:2,3") == FamilySpec.complete_bipartite(2, 3)
-    assert parse_family_string("kstar:5,2") == FamilySpec.k_star(5, 2)
+    assert parse_family_string("path:3") == path_graph(3)
+    assert parse_family_string("kmn:2,3") == complete_bipartite_graph(2, 3)
+    assert parse_family_string("kstar:5,2") == k_star_graph(5, 2)
     nested = parse_family_string("union:(cycle:4;union:(path:2;path:2))")
-    assert nested.kind == "disjoint_union"
-    assert nested.parts[1].kind == "disjoint_union"
+    assert nested == disjoint_union(cycle_graph(4), disjoint_union(path_graph(2), path_graph(2)))
 
 
 @pytest.mark.parametrize(
@@ -74,6 +74,11 @@ def test_gen_reports_offending_token(monkeypatch, capsys):
     code, out, err = run_cli(["gen", "frob:3"], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2
     assert "frob" in err
+
+
+def test_gen_bad_parameter_prints_no_graph(monkeypatch, capsys):
+    code, out, err = run_cli(["gen", "path:3", "path:0"], monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: path requires n >= 1, got 0\n")
 
 
 # --- count / enumerate / max ----------------------------------------------
@@ -243,6 +248,33 @@ def test_verify_json_is_a_single_document(monkeypatch, capsys):
     assert doc["passed"] is True
     assert doc["suites"][0]["suite"] == "paths-cycles"
     assert doc["suites"][0]["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--limit", "3"],
+        ["count", "--allow-long"],
+        ["count", "--seed", "4"],
+        ["max", "--limit", "3"],
+        ["enumerate", "--seed", "4"],
+        ["gen", "--format", "json", "path:3"],
+        ["verify", "families", "--limit", "3"],
+    ],
+)
+def test_options_belong_to_the_subcommands_that_read_them(argv, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--order-max", "--t-max", "--n-max", "--trials"])
+def test_verify_refuses_negative_sizes(option, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "all", option, "-2"], monkeypatch=monkeypatch, capsys=capsys)
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least 0, got -2" in capsys.readouterr().err
 
 
 def test_verify_bounds_refuses_order8(monkeypatch, capsys):

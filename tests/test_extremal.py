@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from dissoc import (
-    BOUNDS,
     Graph,
     SweepFilter,
     SweepRefusedError,
@@ -47,13 +46,6 @@ FILTERS = {
     "bipartite": SweepFilter(bipartite=True),
     "connected": SweepFilter(connected_only=True),
 }
-
-
-def test_bound_constants():
-    assert abs(BOUNDS.alpha - 1.5848931924611136) < 1e-12
-    assert abs(BOUNDS.beta - 1.5650845800732873) < 1e-12
-    assert BOUNDS.alpha > BOUNDS.beta
-    assert BOUNDS.path_coefficient == 0.81
 
 
 def test_exact_bound_checks_at_their_equality_cases():
@@ -208,6 +200,13 @@ def test_sweep_rejects_order9_even_with_flag():
 def test_sweep_rejects_unknown_quantity():
     with pytest.raises(ValueError):
         sweep(4, quantity="psi")
+
+
+def test_sweep_rejects_negative_order():
+    with pytest.raises(ValueError, match="at least 0"):
+        sweep(-1)
+    with pytest.raises(ValueError, match="at least 0"):
+        verify_asymptotic_bounds(order_max=-2)
 
 
 def test_sweep_order6_unfiltered_maximum_is_15():

@@ -1,14 +1,12 @@
-"""Graph construction, named families, neighbourhoods, and vertex deletion."""
+"""Graph construction, named families, and vertex deletion."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dissoc import (
-    FamilySpec,
     FamilySpecError,
     Graph,
-    build,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -16,7 +14,8 @@ from dissoc import (
     k_star_graph,
     path_graph,
 )
-from dissoc.graphs import delete_vertices, delete_vertices_mapped, neighborhood
+from dissoc.cli import parse_family_string
+from dissoc.graphs import delete_vertices_mapped
 
 from strategies import graphs
 
@@ -46,16 +45,18 @@ def test_disjoint_union_of_two_cycles():
 @pytest.mark.parametrize(
     "spec, order, edges",
     [
-        (FamilySpec.path(4), 4, 3),
-        (FamilySpec.cycle(5), 5, 5),
-        (FamilySpec.complete(4), 4, 6),
-        (FamilySpec.complete_bipartite(2, 3), 5, 6),
-        (FamilySpec.k_star(5, 1), 5, 9),
-        (FamilySpec.disjoint_union(FamilySpec.cycle(4), FamilySpec.path(3)), 7, 6),
+        (("path:4", path_graph(4)), 4, 3),
+        (("cycle:5", cycle_graph(5)), 5, 5),
+        (("complete:4", complete_graph(4)), 4, 6),
+        (("kmn:2,3", complete_bipartite_graph(2, 3)), 5, 6),
+        (("kstar:5,1", k_star_graph(5, 1)), 5, 9),
+        (("union:(cycle:4;path:3)", disjoint_union(cycle_graph(4), path_graph(3))), 7, 6),
     ],
 )
 def test_build_family_specs(spec, order, edges):
-    g = build(spec)
+    text, expected = spec
+    g = parse_family_string(text)
+    assert g == expected
     assert g.order == order
     assert g.edge_count == edges
 
@@ -63,32 +64,20 @@ def test_build_family_specs(spec, order, edges):
 @pytest.mark.parametrize(
     "spec",
     [
-        FamilySpec.cycle(2),
-        FamilySpec.path(0),
-        FamilySpec.complete(0),
-        FamilySpec.k_star(5, 3),
-        FamilySpec.k_star(4, -1),
-        FamilySpec.complete_bipartite(0, 3),
+        ("cycle:2", cycle_graph, (2,)),
+        ("path:0", path_graph, (0,)),
+        ("complete:0", complete_graph, (0,)),
+        ("kstar:5,3", k_star_graph, (5, 3)),
+        ("kstar:4,-1", k_star_graph, (4, -1)),
+        ("kmn:0,3", complete_bipartite_graph, (0, 3)),
     ],
 )
 def test_build_rejects_bad_parameters(spec):
+    text, builder, args = spec
     with pytest.raises(FamilySpecError):
-        build(spec)
-
-
-def test_neighborhood_on_cycle():
-    c4 = cycle_graph(4)
-    assert neighborhood(c4, 1) == {0, 2}
-    assert neighborhood(c4, 1, closed=True) == {0, 1, 2}
-
-
-def test_neighborhood_on_complete_graph():
-    assert neighborhood(complete_graph(5), 0, closed=True) == {0, 1, 2, 3, 4}
-
-
-def test_neighborhood_rejects_out_of_range():
-    with pytest.raises(IndexError):
-        neighborhood(cycle_graph(4), 4)
+        builder(*args)
+    with pytest.raises(FamilySpecError):
+        parse_family_string(text)
 
 
 def test_delete_middle_of_path():
@@ -100,19 +89,19 @@ def test_delete_middle_of_path():
 
 
 def test_delete_closed_neighborhood_of_cycle_vertex():
-    g = delete_vertices(cycle_graph(4), {3, 0, 1})
+    g, _ = delete_vertices_mapped(cycle_graph(4), {3, 0, 1})
     assert g.order == 1
     assert g.edge_count == 0
 
 
 def test_delete_nothing_is_identity():
     g = complete_bipartite_graph(2, 3)
-    assert delete_vertices(g, set()) == g
+    assert delete_vertices_mapped(g, set()) == (g, (0, 1, 2, 3, 4))
 
 
 def test_delete_rejects_out_of_range():
     with pytest.raises(IndexError):
-        delete_vertices(path_graph(3), {5})
+        delete_vertices_mapped(path_graph(3), {5})
 
 
 def test_graph_rejects_asymmetric_adjacency():
@@ -160,8 +149,3 @@ def test_delete_map_preserves_adjacency(g, data):
     for a in range(sub.order):
         for b in range(sub.order):
             assert ((sub.adj[a] >> b) & 1) == ((g.adj[kept[a]] >> kept[b]) & 1)
-
-
-def test_family_spec_labels():
-    spec = FamilySpec.disjoint_union(FamilySpec.cycle(4), FamilySpec.k_star(5, 2))
-    assert spec.label() == "cycle(4) + k_star(5,2)"

@@ -11,6 +11,7 @@ from dissoc import (
     UnsupportedSizeError,
     complete_bipartite_graph,
     complete_graph,
+    count,
     count_maximum_bruteforce,
     cycle_graph,
     disjoint_union,
@@ -105,13 +106,27 @@ def test_family_yields_sorted_tuples_and_tests_membership_by_set():
 
 
 def test_oracle_rejects_orders_beyond_cap():
-    with pytest.raises(UnsupportedSizeError):
-        enumerate_maximal_bruteforce(Graph(25, (0,) * 25))
+    for oracle in (enumerate_maximal_bruteforce, dissociation_number, count_maximum_bruteforce):
+        with pytest.raises(UnsupportedSizeError):
+            oracle(Graph(25, (0,) * 25))
 
 
 def test_oracle_time_guard_raises_instead_of_truncating():
-    with pytest.raises(OracleTimeoutError):
-        enumerate_maximal_bruteforce(complete_graph(12), time_limit=0.0)
+    for oracle in (enumerate_maximal_bruteforce, dissociation_number, count_maximum_bruteforce):
+        with pytest.raises(OracleTimeoutError):
+            oracle(complete_graph(12), time_limit=0.0)
+
+
+def test_oracle_agrees_with_the_enumerator_on_every_small_labeled_graph():
+    for order in range(6):
+        for mask in range(1 << (order * (order - 1) // 2)):
+            g = Graph.from_edge_mask(order, mask)
+            c = count(g)
+            assert (
+                len(enumerate_maximal_bruteforce(g)),
+                count_maximum_bruteforce(g),
+                dissociation_number(g),
+            ) == (c.phi, c.phi_max, c.psi), g
 
 
 @settings(deadline=None)
