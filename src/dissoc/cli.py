@@ -123,12 +123,11 @@ def _parse_lines(source: str | None) -> tuple[list[tuple[int, str, object]], lis
     return parsed, errors
 
 
-def _print_table(rows: list[dict], columns: Sequence[str], out=None) -> None:
-    out = out or sys.stdout
+def _print_table(rows: list[dict], columns: Sequence[str]) -> None:
     widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c) for c in columns}
-    print("  ".join(c.ljust(widths[c]) for c in columns), file=out)
+    print("  ".join(c.ljust(widths[c]) for c in columns))
     for r in rows:
-        print("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns), file=out)
+        print("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns))
 
 
 def _print_csv(rows: list[dict], columns: Sequence[str]) -> None:
@@ -179,7 +178,7 @@ def _cmd_enumerate(args) -> int:
     results = []
     for _, text, g in parsed:
         family = enumerate_maximal(g)
-        sets = family.as_lists()
+        sets = family.sets
         truncated = limit is not None and len(sets) > limit
         shown = sets[:limit] if truncated else sets
         results.append(

@@ -20,9 +20,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .branching import _pivot_partition, count, maximal_masks
 from .canonical import _least, canonical_form
@@ -394,22 +394,14 @@ def _kstar_variants(m: int) -> list[tuple[str, Graph]]:
     return [(f"K{m}*(i={i})", k_star_graph(m, i)) for i in range(m // 2 + 1)]
 
 
-def _block_product(*choices: list[tuple[str, Graph]]) -> list[tuple[str, Graph]]:
-    """All multisets picking one variant per block, for interchangeable blocks."""
-    out: list[tuple[str, Graph]] = []
-    if not choices:
-        return [("", Graph(0, ()))]
-    # group identical block types so variant multisets are not double-counted
-    first, rest = choices[0], choices[1:]
-    same = 1
-    while same < len(choices) and choices[same] is first:
-        same += 1
-    for combo in combinations_with_replacement(range(len(first)), same):
-        head_label = " + ".join(first[k][0] for k in combo)
-        head = [first[k][1] for k in combo]
-        for tail_label, tail in _block_product(*choices[same:]):
-            label = head_label if not tail_label else f"{head_label} + {tail_label}"
-            out.append((label, disjoint_union(*head, tail)))
+def _block_product(*blocks: tuple[list[tuple[str, Graph]], int]) -> list[tuple[str, Graph]]:
+    """Every multiset of variants, given one (variants, count) pair per kind
+    of interchangeable block."""
+    out = []
+    for picks in product(*(combinations_with_replacement(v, k) for v, k in blocks)):
+        chosen = [block for pick in picks for block in pick]
+        label = " + ".join(name for name, _ in chosen)
+        out.append((label, disjoint_union(*(g for _, g in chosen))))
     return out
 
 
@@ -435,16 +427,16 @@ def _family_rows(max_t: int) -> list[tuple[str, int, Graph, int, bool]]:
         )
         rows.append((f"P3 + {t}C4", t, disjoint_union(p3, *[c4] * t), 3 * 6 ** t, False))
 
-        for label, g in _block_product(*[k5s] * t):
+        for label, g in _block_product((k5s, t)):
             rows.append((label, t, g, 10 ** t, True))
-        for label, g in _block_product(k6s, *[k5s] * (t - 1)):
+        for label, g in _block_product((k6s, 1), (k5s, t - 1)):
             rows.append((label, t, g, 15 * 10 ** (t - 1), True))
         if t >= 2:
-            for label, g in _block_product(k6s, k6s, *[k5s] * (t - 2)):
+            for label, g in _block_product((k6s, 2), (k5s, t - 2)):
                 rows.append((label, t, g, 225 * 10 ** (t - 2), True))
-        for label, g in _block_product(k4s, k4s, *[k5s] * (t - 1)):
+        for label, g in _block_product((k4s, 2), (k5s, t - 1)):
             rows.append((label, t, g, 36 * 10 ** (t - 1), True))
-        for label, g in _block_product(k4s, *[k5s] * t):
+        for label, g in _block_product((k4s, 1), (k5s, t)):
             rows.append((label, t, g, 6 * 10 ** t, True))
     return rows
 
@@ -604,15 +596,12 @@ def verify_asymptotic_bounds(
     *,
     allow_long: bool = False,
     seed: int = 0,
-    spot_orders: Iterable[int] = range(8, 15),
-    spot_trials_per_order: int = 30,
-    bipartite_spot_order: int = 12,
-    bipartite_spot_trials: int = 200,
 ) -> VerificationReport:
     """Check phi <= 10^(n/5) and, for triangle-free graphs, phi <= 6^(n/4)
     on every labeled graph up to order_max, with equality exactly on the
     characterized families; phi' is held to the same bounds and to phi' <= phi.
-    Orders 8..14 get randomized spot checks on top of the exhaustive range.
+    On top of the exhaustive range, 30 seeded random graphs at each order
+    8..14 and 200 random bipartite graphs of order 12 are spot-checked.
 
     Each order runs the sweep's scan over all and over triangle-free graphs;
     the records equal sweep's, so triangle-free ones count only those graphs.
@@ -627,8 +616,8 @@ def verify_asymptotic_bounds(
 
     rng = random.Random(seed)
     spot = 0
-    for order in spot_orders:
-        for trial in range(spot_trials_per_order):
+    for order in range(8, 15):
+        for trial in range(30):
             g = random_graph(rng, order, EDGE_PROBABILITIES[trial % 3])
             result = count(g)
             spot += 1
@@ -647,14 +636,15 @@ def verify_asymptotic_bounds(
                 f"phi'={result.phi_max} breaks a bound",
                 graph6=serialize_graph6(g) if not ok else None,
             )
-    for trial in range(bipartite_spot_trials):
-        g = random_bipartite_graph(rng, bipartite_spot_order, EDGE_PROBABILITIES[trial % 3])
+    order = 12
+    for trial in range(200):
+        g = random_bipartite_graph(rng, order, EDGE_PROBABILITIES[trial % 3])
         result = count(g)
         spot += 1
         report.expect(
-            _within_triangle_free_bound(result.phi, bipartite_spot_order),
+            _within_triangle_free_bound(result.phi, order),
             "bipartite-spot-bound",
-            f"random bipartite graph order {bipartite_spot_order} trial {trial}: "
+            f"random bipartite graph order {order} trial {trial}: "
             f"phi={result.phi} > 6^(n/4)",
         )
     report.details["spot_checks"] = spot
@@ -755,40 +745,34 @@ def _check_leaf_recurrence(
     report.expect(phi <= rhs, check, f"{g6} {where}: phi={phi} > {rhs}", graph6=g6)
 
 
-def verify_recurrences(
-    pivot_trials: int = 200,
-    leaf_trials: int = 100,
-    twin_leaf_trials: int = 50,
-    union_trials: int = 100,
-    order_range: tuple[int, int] = (4, 10),
-    seed: int = 0,
-) -> VerificationReport:
+def verify_recurrences(pivot_trials: int = 200, seed: int = 0) -> VerificationReport:
     """Check the per-pivot, leaf, and twin-leaf counting recurrences on seeded
-    random graphs, and multiplicativity of phi over disjoint unions."""
+    random graphs, and multiplicativity of phi over disjoint unions.  The
+    pivot recurrence runs on pivot_trials graphs of order 4..10; the leaf,
+    twin-leaf and union checks run on 100, 50 and 100 graphs."""
     t0 = time.perf_counter()
     report = VerificationReport(suite="recurrences")
     rng = random.Random(seed)
-    lo, hi = order_range
 
     for trial in range(pivot_trials):
-        g = random_graph(rng, rng.randint(lo, hi), EDGE_PROBABILITIES[trial % 3])
+        g = random_graph(rng, rng.randint(4, 10), EDGE_PROBABILITIES[trial % 3])
         _check_pivot_recurrence(g, report, serialize_graph6(g))
 
-    for trial in range(leaf_trials):
-        base = random_graph(rng, rng.randint(max(lo - 1, 2), hi - 1), EDGE_PROBABILITIES[trial % 3])
+    for trial in range(100):
+        base = random_graph(rng, rng.randint(3, 9), EDGE_PROBABILITIES[trial % 3])
         w = rng.randrange(base.order)
         v = base.order
         g = Graph.from_edges(base.order + 1, list(base.edges()) + [(w, v)])
         _check_leaf_recurrence(g, w, (v,), report, serialize_graph6(g))
 
-    for trial in range(twin_leaf_trials):
-        base = random_graph(rng, rng.randint(max(lo - 2, 2), hi - 2), EDGE_PROBABILITIES[trial % 3])
+    for trial in range(50):
+        base = random_graph(rng, rng.randint(2, 8), EDGE_PROBABILITIES[trial % 3])
         w = rng.randrange(base.order)
         v1, v2 = base.order, base.order + 1
         g = Graph.from_edges(base.order + 2, list(base.edges()) + [(w, v1), (w, v2)])
         _check_leaf_recurrence(g, w, (v1, v2), report, serialize_graph6(g))
 
-    for trial in range(union_trials):
+    for trial in range(100):
         a = random_graph(rng, rng.randint(1, 8), EDGE_PROBABILITIES[trial % 3])
         b = random_graph(rng, rng.randint(1, 8), EDGE_PROBABILITIES[(trial + 1) % 3])
         u = disjoint_union(a, b)

@@ -85,12 +85,6 @@ class DissociationFamily:
         members.sort(key=len)  # stable, so each size stays lexicographic
         return cls(order, tuple(members))
 
-    def masks(self) -> list[int]:
-        return [sum(1 << v for v in s) for s in self.sets]
-
-    def as_lists(self) -> list[list[int]]:
-        return [list(s) for s in self.sets]
-
     def __len__(self) -> int:
         return len(self.sets)
 

@@ -144,10 +144,7 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_recurrence_suite():
     """Pivot-partition recurrences on 200 random graphs (every vertex), leaf
     recurrence on 100 instances, twin-leaf on 50, multiplicativity on 100."""
-    report = verify_recurrences(
-        pivot_trials=200, leaf_trials=100, twin_leaf_trials=50, union_trials=100,
-        order_range=(4, 10), seed=42,
-    )
+    report = verify_recurrences(pivot_trials=200, seed=42)
     ok = report.passed
     _report(6, ok, f"{report.checks} inequality checks, {len(report.violations)} violations")
     assert ok, report.violations[:5]

@@ -195,7 +195,7 @@ def test_within_a_vertex_mask_is_the_deleted_subgraph(g, data):
 
 
 def _oracle_masks(g):
-    return enumerate_maximal_bruteforce(g).masks()
+    return [sum(1 << v for v in s) for s in enumerate_maximal_bruteforce(g)]
 
 
 def test_leaves_are_the_oracle_family_on_all_graphs_up_to_order_5():

@@ -1,7 +1,11 @@
 """Sweeps, filters, and the verification suites at unit scale."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +213,21 @@ def test_sweep_rejects_negative_order():
         verify_asymptotic_bounds(order_max=-2)
 
 
+def test_sweep_report_script_prints_one_row_per_order():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "sweep_report.py"),
+         "--orders", "5", "--filter", "triangle-free", "--workers", "2"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    n, scanned, best, seconds, classes = proc.stdout.splitlines()[-1].split()
+    assert (n, scanned, best) == ("5", "388", "8")
+    float(seconds)
+    assert classes == canonical_form(complete_bipartite_graph(2, 3)) == "DFw"
+
+
 def test_sweep_order6_unfiltered_maximum_is_15():
     rec = sweep(6, SweepFilter())
     assert rec.max_value == 15
@@ -267,6 +286,13 @@ def test_family_values_small():
     assert rows[("P3 + 1C4", 1)]["phi"] == 18
 
 
+@pytest.mark.parametrize("max_t, rows", [(2, 94), (3, 228)])
+def test_family_table_lists_each_variant_multiset_once(max_t, rows):
+    table = verify_family_values(max_t=max_t).details["table"]
+    assert len(table) == rows
+    assert len({(r["family"], r["t"]) for r in table}) == rows
+
+
 def test_path_cycle_bounds_small():
     report = verify_path_cycle_bounds(n_max=12)
     assert report.passed
@@ -282,20 +308,12 @@ def test_path_cycle_bounds_stop_at_the_enumeration_cap():
 
 
 def test_recurrences_small():
-    report = verify_recurrences(
-        pivot_trials=20, leaf_trials=10, twin_leaf_trials=5, union_trials=10,
-        order_range=(4, 8), seed=11,
-    )
+    report = verify_recurrences(pivot_trials=20, seed=11)
     assert report.passed
 
 
 def test_bounds_small():
-    report = verify_asymptotic_bounds(
-        order_max=4,
-        spot_orders=(8, 9),
-        spot_trials_per_order=3,
-        bipartite_spot_trials=5,
-    )
+    report = verify_asymptotic_bounds(order_max=4)
     assert report.passed
     records = report.details["records"]
     rec = next(r for r in records if r["order"] == 4 and r["filter"] == "triangle-free"
@@ -310,9 +328,7 @@ def test_bounds_refuses_order8_without_flag():
 
 
 def _small_bounds(order_max=5):
-    return verify_asymptotic_bounds(
-        order_max=order_max, spot_orders=(), bipartite_spot_trials=0
-    )
+    return verify_asymptotic_bounds(order_max=order_max)
 
 
 def test_bounds_records_match_sweep():

@@ -52,8 +52,8 @@ def test_enumerate_k5_gives_all_pairs():
 
 def test_enumerate_c4_gives_six_named_sets():
     family = enumerate_maximal_bruteforce(cycle_graph(4))
-    expected = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
-    assert family.as_lists() == expected
+    expected = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert list(family) == expected
 
 
 @pytest.mark.parametrize(
@@ -82,18 +82,18 @@ def test_count_maximum_examples():
 def test_null_graph_has_only_the_empty_set():
     family = enumerate_maximal_bruteforce(Graph(0, ()))
     assert len(family) == 1
-    assert family.as_lists() == [[]]
+    assert list(family) == [()]
 
 
 def test_empty_set_never_reported_for_positive_order():
     for n in range(1, 6):
         family = enumerate_maximal_bruteforce(Graph(n, (0,) * n))
-        assert [] not in family.as_lists()
+        assert () not in list(family)
 
 
 def test_family_is_ordered_by_size_then_lexicographically():
     family = enumerate_maximal_bruteforce(path_graph(4))
-    assert family.as_lists() == [[1, 2], [0, 1, 3], [0, 2, 3]]
+    assert list(family) == [(1, 2), (0, 1, 3), (0, 2, 3)]
 
 
 def test_family_yields_sorted_tuples_and_tests_membership_by_set():

@@ -1,5 +1,8 @@
 """The public surface of the dissoc package."""
 
+import inspect
+from pathlib import Path
+
 import dissoc
 
 
@@ -13,3 +16,19 @@ def test_removed_layers_stay_removed():
     for name in ("FamilySpec", "build", "PivotPartition", "classify_by_pivot",
                  "BoundConstants", "BOUNDS"):
         assert not hasattr(dissoc, name), name
+
+
+def test_verify_suites_take_only_the_options_a_caller_sets():
+    expected = {
+        "verify_asymptotic_bounds": ["order_max", "allow_long", "seed"],
+        "verify_recurrences": ["pivot_trials", "seed"],
+        "verify_family_values": ["max_t"],
+        "verify_path_cycle_bounds": ["n_max"],
+    }
+    for name, params in expected.items():
+        assert list(inspect.signature(getattr(dissoc, name)).parameters) == params, name
+
+
+def test_dissoc_verify_is_the_only_verification_driver():
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    assert not (scripts / "run_verification.py").exists()
