@@ -96,16 +96,23 @@ def parse_family_string(text: str) -> Graph:
     return builder(*numbers)
 
 
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+
+
 def _read_graph_lines(source: str | None) -> list[tuple[int, str]]:
-    """(line number, stripped text) for every nonempty input line.  A file is
-    decoded as stdin is, UTF-8 with undecodable bytes escaped, so no byte
-    aborts the read and `_parse_lines` recovers each line's exact bytes."""
+    """(line number, text stripped of ASCII whitespace) for every nonempty
+    input line.  Only \\n, \\r\\n and \\r end a line; any other separator
+    str.splitlines() knows stays in its line and fails graph6 decoding there.
+    A file is decoded as stdin is, UTF-8 with undecodable bytes escaped, so no
+    byte aborts the read and `_parse_lines` recovers each line's exact bytes."""
     if source is None or source == "-":
-        raw = sys.stdin.read().splitlines()
+        text = sys.stdin.read()
     else:
         with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-            raw = fh.read().splitlines()
-    return [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
+            text = fh.read()
+    raw = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [(i + 1, line.strip(_ASCII_WHITESPACE))
+            for i, line in enumerate(raw) if line.strip(_ASCII_WHITESPACE)]
 
 
 def _parse_lines(source: str | None) -> tuple[list[tuple[int, str, object]], list[dict]]:
@@ -172,6 +179,10 @@ def _cmd_count(args) -> int:
     return 1 if errors else 0
 
 
+# decimal text of every vertex an enumeration can hold: indexing beats str()
+_VERTEX_TEXT = [str(v) for v in range(ENUMERATION_ORDER_CAP)]
+
+
 def _cmd_enumerate(args) -> int:
     parsed, errors = _parse_lines(args.input)
     limit = args.limit
@@ -186,20 +197,23 @@ def _cmd_enumerate(args) -> int:
              "truncated": truncated, "sets": shown}
         )
     if not _emit_json_or_errors(args.format, "enumerate", results, errors):
+        # One formatted string per row.  No csv field needs quoting: graph6
+        # text is bytes 63..126 and a vertex list is digits and spaces.
+        out = sys.stdout
+        name = _VERTEX_TEXT.__getitem__
         if args.format == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(("graph6", "set_index", "size", "vertices"))
+            out.write("graph6,set_index,size,vertices\n")
             for r in results:
-                for k, s in enumerate(r["sets"]):
-                    writer.writerow((r["graph6"], k, len(s), " ".join(map(str, s))))
+                g6 = r["graph6"]
+                out.writelines(f"{g6},{k},{len(s)},{' '.join(map(name, s))}\n"
+                               for k, s in enumerate(r["sets"]))
                 if r["truncated"]:
-                    print(f"{r['graph6']}: truncated at {len(r['sets'])} of {r['phi']} sets",
+                    print(f"{g6}: truncated at {len(r['sets'])} of {r['phi']} sets",
                           file=sys.stderr)
         else:
             for r in results:
                 print(f"{r['graph6']}  n={r['n']}  phi={r['phi']}")
-                for s in r["sets"]:
-                    print("  " + " ".join(map(str, s)))
+                out.writelines(f"  {' '.join(map(name, s))}\n" for s in r["sets"])
                 if r["truncated"]:
                     print(f"  ... truncated, showing {len(r['sets'])} of {r['phi']}")
     return 1 if errors else 0

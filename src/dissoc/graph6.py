@@ -13,7 +13,7 @@ GRAPH6_ORDER_CAP = 62
 
 
 class Graph6Error(ValueError):
-    """Malformed or truncated graph6 input."""
+    """Malformed, truncated or over-long graph6 input."""
 
 
 def serialize_graph6(g: Graph) -> str:
@@ -49,9 +49,8 @@ def parse_graph6(text: str | bytes) -> Graph:
     expect = (nbits + 5) // 6
     body = codes[1:]
     if len(body) != expect:
-        raise Graph6Error(
-            f"truncated graph6 input: order {order} needs {expect} data bytes, got {len(body)}"
-        )
+        what = "truncated graph6 input" if len(body) < expect else "graph6 input too long"
+        raise Graph6Error(f"{what}: order {order} needs {expect} data bytes, got {len(body)}")
     bits = 0
     for c in body:
         bits = (bits << 6) | (c - 63)

@@ -5,7 +5,9 @@ degree at most one.  One scan of all 2^n subsets tests each dissociation set
 for maximality by explicit single-vertex extension and tallies psi and phi'
 over all of them -- intentionally naive, so the fast enumerator has an
 independent referee.  Both hand their vertex bitmasks to DissociationFamily,
-which decodes each set once, into a sorted tuple.
+which decodes each set once, into a sorted tuple.  `_members` decodes a mask
+below 2^32 (every caller is capped at ENUMERATION_ORDER_CAP = 32) by four
+lookups in per-byte tables of member tuples, built once at import.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
     return mask
 
 
+# _M<k>[b]: the vertices of byte value b at byte position k, ascending
+_M0, _M1, _M2, _M3 = (
+    [tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256)] for k in range(4)
+)
+
+
 def _members(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
+    """The set bits of a mask below 2^32, ascending."""
+    return _M0[mask & 255] + _M1[mask >> 8 & 255] + _M2[mask >> 16 & 255] + _M3[mask >> 24]
 
 
 def _is_dissociation_mask(adj: Sequence[int], f: int) -> bool:
@@ -74,7 +79,8 @@ def is_maximal(g: Graph, f: Iterable[int]) -> bool:
 class DissociationFamily:
     """All maximal dissociation sets of one graph, deduplicated and in
     canonical order: by size, then lexicographically by sorted member list.
-    Each set is held as its sorted member tuple."""
+    Each set is held as its sorted member tuple, which `from_masks` decodes
+    from a vertex bitmask below 2^32 by table lookup (`_members`)."""
 
     source_order: int
     sets: tuple[tuple[int, ...], ...]

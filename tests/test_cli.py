@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, error isolation, exit codes."""
 
+import csv
 import io
 import json
 import subprocess
@@ -9,10 +10,12 @@ import pytest
 
 from dissoc import (
     Graph,
+    Graph6Error,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    enumerate_maximal,
     k_star_graph,
     parse_graph6,
     path_graph,
@@ -163,6 +166,28 @@ def test_crlf_line_endings_read_as_lf(source, tmp_path, monkeypatch, capsys):
     assert run(lf)[0] == 0
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_only_line_ends_split_lines(source, tmp_path, monkeypatch, capsys):
+    # \x1c, NEL (U+0085) and U+2028 end a line for str.splitlines(), but not
+    # here: each stays in its line, which then fails as a graph6 line error.
+    data = b"C~\x1cBW\nBW\xc2\x85C~\nC~\xe2\x80\xa8\n \tBW\x0c\n!!\rC~\r\n"
+    if source == "file":
+        path = tmp_path / "graphs.g6"
+        path.write_bytes(data)
+        argv, stdin_text = ["count", str(path), "--format", "csv"], ""
+    else:
+        argv, stdin_text = ["count", "--format", "csv"], data.decode("utf-8", "surrogateescape")
+    code, out, err = run_cli(argv, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert err == (
+        "line 1: byte 28 at position 2 outside the graph6 range 63..126\n"
+        "line 2: byte 194 at position 2 outside the graph6 range 63..126\n"
+        "line 3: byte 226 at position 2 outside the graph6 range 63..126\n"
+        "line 5: byte 33 at position 0 outside the graph6 range 63..126\n"
+    )
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["BW", "C~"]
+
+
 def test_header_and_inner_whitespace_are_line_errors(monkeypatch, capsys):
     stdin = "C~\n>>graph6<<C~\nB W\nBW\n"
     code, out, err = run_cli(
@@ -215,6 +240,58 @@ def test_enumerate_respects_limit(monkeypatch, capsys):
     )
     assert code == 0
     assert "truncated, showing 2 of 10" in out
+
+
+def enumerate_reference(lines, fmt, limit):
+    """stdout and stderr of `enumerate` in csv or table, written through
+    csv.writer and print: the reference for the command's pre-formatted rows."""
+    out, err = io.StringIO(), io.StringIO()
+    graphs = []
+    for lineno, text in enumerate(lines, 1):
+        try:
+            graphs.append((text, parse_graph6(text)))
+        except Graph6Error as exc:
+            print(f"line {lineno}: {exc}", file=err)
+    writer = csv.writer(out, lineterminator="\n")
+    if fmt == "csv":
+        writer.writerow(("graph6", "set_index", "size", "vertices"))
+    for text, g in graphs:
+        sets = enumerate_maximal(g).sets
+        shown = sets[:limit] if limit is not None else sets
+        if fmt == "csv":
+            for k, s in enumerate(shown):
+                writer.writerow((text, k, len(s), " ".join(map(str, s))))
+            if len(shown) < len(sets):
+                print(f"{text}: truncated at {len(shown)} of {len(sets)} sets", file=err)
+        else:
+            print(f"{text}  n={g.order}  phi={len(sets)}", file=out)
+            for s in shown:
+                print("  " + " ".join(map(str, s)), file=out)
+            if len(shown) < len(sets):
+                print(f"  ... truncated, showing {len(shown)} of {len(sets)}", file=out)
+    return out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("limit", [None, 3])
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_enumerate_csv_and_table_bytes(fmt, limit, monkeypatch, capsys):
+    # the null graph, one vertex, a malformed line, vertices past 9, and
+    # graphs with more than three sets for --limit 3 to cut
+    lines = ["?", "@", "!!", serialize_graph6(path_graph(12)),
+             serialize_graph6(complete_graph(5)), serialize_graph6(cycle_graph(4))]
+    argv = ["enumerate", "--format", fmt] + ([] if limit is None else ["--limit", str(limit)])
+    code, out, err = run_cli(argv, stdin_text="\n".join(lines) + "\n",
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (1, *enumerate_reference(lines, fmt, limit))
+    assert err.startswith("line 3: byte 33 at position 0 outside the graph6 range 63..126\n")
+    if fmt == "csv":
+        assert out.splitlines()[:3] == ["graph6,set_index,size,vertices", "?,0,0,", "@,0,1,0"]
+        assert "\nKhCGGC@?G?_@,0,6,1 2 5 6 9 10\n" in out
+    else:
+        assert out.startswith("?  n=0  phi=1\n  \n@  n=1  phi=1\n  0\n")
+        assert "\nKhCGGC@?G?_@  n=12  phi=46\n  1 2 5 6 9 10\n" in out
+    if limit is not None:
+        assert (f"{serialize_graph6(complete_graph(5))}: truncated at 3 of 10 sets" in err) == (fmt == "csv")
 
 
 def test_max_reports_lexicographically_least(monkeypatch, capsys):

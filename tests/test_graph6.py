@@ -81,6 +81,16 @@ def test_malformed_inputs_rejected(text):
         parse_graph6(text)
 
 
+def test_length_errors_say_whether_bytes_are_missing_or_extra():
+    # order 12 packs its 66 adjacency bits into 11 data bytes
+    with pytest.raises(Graph6Error) as short:
+        parse_graph6("K" + "?" * 10)
+    assert str(short.value) == "truncated graph6 input: order 12 needs 11 data bytes, got 10"
+    with pytest.raises(Graph6Error) as long:
+        parse_graph6("K" + "?" * 12)
+    assert str(long.value) == "graph6 input too long: order 12 needs 11 data bytes, got 12"
+
+
 def test_serialize_rejects_order_above_62():
     with pytest.raises(Graph6Error):
         serialize_graph6(Graph(63, (0,) * 63))

@@ -2,8 +2,9 @@
 
 import random
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from dissoc import (
     Graph,
@@ -21,6 +22,7 @@ from dissoc import (
     is_maximal,
     path_graph,
 )
+from dissoc.oracle import _members
 
 from strategies import graphs
 
@@ -103,6 +105,22 @@ def test_family_yields_sorted_tuples_and_tests_membership_by_set():
     assert (3, 2) in family
     assert [0, 1, 2] not in family
     assert [0] not in family
+
+
+def _members_by_bit_loop(mask):
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
+
+
+@given(st.integers(0, (1 << 32) - 1))
+@example(0)
+@example(1 << 31)
+@example((1 << 32) - 1)
+def test_member_tables_decode_as_the_bit_loop(mask):
+    assert _members(mask) == _members_by_bit_loop(mask)
 
 
 def test_oracle_rejects_orders_beyond_cap():
