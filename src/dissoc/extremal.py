@@ -3,12 +3,11 @@
 Sweeps generate one graph per isomorphism class of a given order, one vertex
 at a time and only inside the requested class (triangle-free / bipartite /
 connected), compute phi or phi' via the branching enumerator, and report the
-maximum together with all attaining classes.  A sweep is split into one task
-per admitted class on its first order-2 vertices; the tasks run in turn or on
-a process pool, and the bounds suite runs the same scan.  The verify_*
-operations package the checkable claims: closed-form family values, the
-10^(n/5) and 6^(n/4) bounds with their equality characterizations, the
-per-pivot counting recurrences, and the path/cycle bounds.
+maximum together with all attaining classes; the bounds suite runs the same
+scan.  The verify_* operations package the checkable claims: closed-form
+family values, the 10^(n/5) and 6^(n/4) bounds with their equality
+characterizations, the per-pivot counting recurrences, and the path/cycle
+bounds.
 
 Bound checks are exact integer comparisons: phi <= 10^(n/5) is decided as
 phi^5 <= 10^n, phi <= 6^(n/4) as phi^4 <= 6^n, and phi < 0.81 * 6^(n/4) as
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 from typing import Iterator, Sequence
@@ -209,11 +208,11 @@ class _Best:
     value: int = -1
     masks: list[int] = field(default_factory=list)
 
-    def add(self, value: int, masks: Sequence[int]) -> None:
+    def add(self, value: int, mask: int) -> None:
         if value > self.value:
-            self.value, self.masks = value, list(masks)
+            self.value, self.masks = value, [mask]
         elif value == self.value:
-            self.masks.extend(masks)
+            self.masks.append(mask)
 
     def classes(self, order: int) -> list[str]:
         """Canonical graph6 strings of the attaining isomorphism classes; every
@@ -221,48 +220,21 @@ class _Best:
         return sorted(serialize_mask(order, m) for m in self.masks)
 
 
-def _scan_head(args: tuple) -> tuple[int, dict[str, _Best], list[int]]:
-    """Extend one admitted class on the first vertices to every admitted class
-    of full order, and return what _scan returns for those classes."""
-    order, filt, (mask, adj, head_aut) = args
-    admitted = 0
-    best = {"phi": _Best(), "phi_max": _Best()}
-    inverted = []
-    for m, a, aut in _graphs(order, filt, len(adj), adj, mask, head_aut):
-        admitted += factorial(order) // aut  # labeled graphs in the class
-        phi, phi_max = _phi_pair(order, a)
-        best["phi"].add(phi, (m,))
-        best["phi_max"].add(phi_max, (m,))
-        if phi_max > phi:
-            inverted.append(m)
-    return admitted, best, inverted
-
-
-def _scan(order: int, filt: SweepFilter, workers: int = 1) -> tuple[int, dict[str, _Best], list[int]]:
+def _scan(order: int, filt: SweepFilter) -> tuple[int, dict[str, _Best], list[int]]:
     """Scan every isomorphism class of `order` that `filt` admits: returns
     (labeled graphs admitted, the maxima of phi and phi' with the canonical
     edge masks of the classes attaining them, the canonical masks of the
-    classes with phi' > phi).  Each admitted class on the first order-2
-    vertices is a task extending it to full order; with workers > 1 the tasks
-    run on a process pool, and the merge is order-independent."""
-    heads = _graphs(max(order - 2, 0), replace(filt, connected_only=False))
-    tasks = [(order, filt, head) for head in heads]
-    if workers > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_scan_head, tasks)
-    else:
-        results = map(_scan_head, tasks)
-
+    classes with phi' > phi)."""
     scanned = 0
     best = {"phi": _Best(), "phi_max": _Best()}
     inverted = []
-    for admitted, part, bad in results:
-        scanned += admitted
-        for quantity, b in part.items():
-            best[quantity].add(b.value, b.masks)
-        inverted += bad
+    for mask, adj, aut in _graphs(order, filt):
+        scanned += factorial(order) // aut  # labeled graphs in the class
+        phi, phi_max = _phi_pair(order, adj)
+        best["phi"].add(phi, mask)
+        best["phi_max"].add(phi_max, mask)
+        if phi_max > phi:
+            inverted.append(mask)
     return scanned, best, inverted
 
 
@@ -317,20 +289,19 @@ def sweep(
     quantity: str = "phi",
     *,
     allow_long: bool = False,
-    workers: int = 1,
 ) -> ExtremalRecord:
     """Scan every isomorphism class of `order` that `filt` admits and record
     the maximum quantity.
 
     graphs_scanned counts the labeled graphs admitted by the filter, as the
-    sum of order!/|Aut| over the classes.  The record is identical for any
-    worker count, and verify_asymptotic_bounds runs the same scan.
+    sum of order!/|Aut| over the classes, and verify_asymptotic_bounds runs
+    the same scan.
     """
     if quantity not in ("phi", "phi_max"):
         raise ValueError(f"quantity must be 'phi' or 'phi_max', got {quantity!r}")
     _check_sweep_order(order, allow_long)
     t0 = time.perf_counter()
-    scanned, best, _ = _scan(order, filt, workers)
+    scanned, best, _ = _scan(order, filt)
     return ExtremalRecord(
         order=order,
         filter=filt,

@@ -94,7 +94,7 @@ def test_criterion_3_exhaustive_extremal_sweeps():
          {canonical_form(disjoint_union(path_graph(3), cycle_graph(4)))}),
         (5, SweepFilter(), 10, {canonical_form(k_star_graph(5, i)) for i in range(3)}),
     ]
-    records = [(e, sweep(e[0], e[1], workers=2)) for e in expectations]
+    records = [(e, sweep(e[0], e[1])) for e in expectations]
     ok = all(
         rec.max_value == want_max and set(rec.extremal_canonical) == want_classes
         for (_, _, want_max, want_classes), rec in records

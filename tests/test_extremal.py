@@ -185,12 +185,6 @@ def test_sweep_order5_unfiltered_finds_three_classes():
     assert sorted(rec.extremal_canonical) == expected
 
 
-def test_sweep_partitioning_is_invisible():
-    base = sweep(5, SweepFilter(triangle_free=True))
-    assert sweep(5, SweepFilter(triangle_free=True), workers=2) == base
-    assert sweep(5, SweepFilter(triangle_free=True), workers=3) == base
-
-
 def test_sweep_refuses_order8_without_flag():
     with pytest.raises(SweepRefusedError, match="268,435,456"):
         sweep(8)
@@ -419,3 +413,22 @@ def test_sweep_filter_admits_matches_predicates(g):
     filt = SweepFilter(triangle_free=True, bipartite=True)
     expected = is_triangle_free(g.order, g.adj) and is_bipartite(g.order, g.adj)
     assert filt.admits(g.order, g.adj) == expected
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--orders", "3-"], "argument --orders: expected a range"),
+    (["--orders", "2,x"], "argument --orders: expected a range"),
+    (["--orders=-1"], "argument --orders: expected a range"),
+    (["--orders", "9"], "error: exhaustive sweeps are capped at order 8, got 9"),
+    (["--orders", "8"], "error: a full sweep at order 8 covers 268,435,456 labeled graphs"),
+])
+def test_sweep_report_script_rejects_bad_orders_with_one_error_line(args, message):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "sweep_report.py"), *args],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr.splitlines()[-1]

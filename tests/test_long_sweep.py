@@ -4,7 +4,7 @@ from dissoc import SweepFilter, canonical_form, disjoint_union, k_star_graph, sw
 
 
 def test_order8_full_sweep_maximum_is_36_on_two_block_4_cliques():
-    rec = sweep(8, SweepFilter(), allow_long=True, workers=2)
+    rec = sweep(8, SweepFilter(), allow_long=True)
     assert rec.max_value == 36
     expected = {
         canonical_form(disjoint_union(k_star_graph(4, i), k_star_graph(4, j)))

@@ -29,6 +29,11 @@ def test_verify_suites_take_only_the_options_a_caller_sets():
         assert list(inspect.signature(getattr(dissoc, name)).parameters) == params, name
 
 
+def test_sweep_runs_in_one_process():
+    params = list(inspect.signature(dissoc.sweep).parameters)
+    assert params == ["order", "filt", "quantity", "allow_long"]
+
+
 def test_dissoc_verify_is_the_only_verification_driver():
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     assert not (scripts / "run_verification.py").exists()
