@@ -3,13 +3,15 @@
 
 Usage:
     python scripts/sweep_report.py [--orders 1-7] [--filter all|triangle-free|bipartite|connected]
-                                   [--quantity phi|phi_max] [--allow-long]
+                                   [--quantity phi|phi_max]
 
 Sweeps visit one graph per isomorphism class; "scanned" counts the labeled
-graphs those classes stand for.  The order-8 sweep (2^28 labeled graphs) only
-runs with --allow-long.  Attaining graphs are printed as canonical graph6
-strings.  A malformed --orders value is a usage error, and a refused or
-oversized sweep prints one `error:` line; both exit with status 2.
+graphs those classes stand for.  Order 8 takes seconds and order 9 minutes;
+each sweep stops with an error past the time budget
+dissoc.extremal.SWEEP_TIME_LIMIT.  Attaining graphs are printed as canonical
+graph6 strings.  A malformed --orders value is a usage error, and an
+oversized or over-budget sweep prints one `error:` line; both exit with
+status 2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from dissoc import SweepFilter, SweepRefusedError, UnsupportedSizeError, sweep
+from dissoc import SweepFilter, TimeLimitError, UnsupportedSizeError, sweep
 
 
 def parse_orders(text: str) -> list[int]:
@@ -52,15 +54,14 @@ def main() -> int:
     parser.add_argument("--quantity", choices=("phi", "phi_max"), default="phi")
     # perfbench/run.py passes --workers to the extremal workload; sweeps run in one process
     parser.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
-    parser.add_argument("--allow-long", action="store_true")
     args = parser.parse_args()
 
     filt = FILTERS[args.filter]
     print(f"{'n':>3} {'scanned':>12} {'max':>8} {'seconds':>9}  extremal classes")
     for order in args.orders:
         try:
-            rec = sweep(order, filt, args.quantity, allow_long=args.allow_long)
-        except (SweepRefusedError, UnsupportedSizeError, ValueError) as exc:
+            rec = sweep(order, filt, args.quantity)
+        except (TimeLimitError, UnsupportedSizeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         classes = " ".join(rec.extremal_canonical)

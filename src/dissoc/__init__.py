@@ -17,7 +17,6 @@ from .canonical import CANONICAL_ORDER_CAP, canonical_form
 from .extremal import (
     ExtremalRecord,
     SweepFilter,
-    SweepRefusedError,
     VerificationReport,
     Violation,
     is_bipartite,
@@ -35,6 +34,7 @@ from .graphs import (
     ENUMERATION_ORDER_CAP,
     FamilySpecError,
     Graph,
+    TimeLimitError,
     UnsupportedSizeError,
     complete_bipartite_graph,
     complete_graph,
@@ -46,7 +46,6 @@ from .graphs import (
 from .oracle import (
     ORACLE_ORDER_CAP,
     DissociationFamily,
-    OracleTimeoutError,
     count_maximum_bruteforce,
     dissociation_number,
     enumerate_maximal_bruteforce,
@@ -67,9 +66,8 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "ORACLE_ORDER_CAP",
-    "OracleTimeoutError",
     "SweepFilter",
-    "SweepRefusedError",
+    "TimeLimitError",
     "UnsupportedSizeError",
     "VerificationReport",
     "Violation",

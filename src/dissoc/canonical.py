@@ -13,7 +13,7 @@ from __future__ import annotations
 from .graph6 import serialize_graph6
 from .graphs import Graph, UnsupportedSizeError, edge_index
 
-CANONICAL_ORDER_CAP = 8
+CANONICAL_ORDER_CAP = 8  # _least's cost grows with symmetry: C24 and 4C5 each take over 30 s
 
 
 def _least(order: int, adj: tuple[int, ...], stop_below: bool = False) -> tuple[list[int], int] | None:

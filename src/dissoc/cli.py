@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .branching import count, enumerate_maximal, maximum_dissociation_set
 from .extremal import (
-    SweepRefusedError,
     verify_asymptotic_bounds,
     verify_family_values,
     verify_path_cycle_bounds,
@@ -27,6 +26,7 @@ from .graphs import (
     ENUMERATION_ORDER_CAP,
     FamilySpecError,
     Graph,
+    TimeLimitError,
     UnsupportedSizeError,
     check_enumeration_order,
     complete_bipartite_graph,
@@ -245,13 +245,7 @@ def _cmd_verify(args) -> int:
     reports = []
     for suite in suites:
         if suite == "bounds":
-            reports.append(
-                verify_asymptotic_bounds(
-                    order_max=args.order_max,
-                    allow_long=args.allow_long,
-                    seed=args.seed,
-                )
-            )
+            reports.append(verify_asymptotic_bounds(order_max=args.order_max, seed=args.seed))
         elif suite == "families":
             reports.append(verify_family_values(max_t=args.t_max))
         elif suite == "recurrences":
@@ -335,12 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[formatted], help="run a verification suite")
     p.add_argument("suite", choices=VERIFY_SUITES)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument(
-        "--allow-long", action="store_true",
-        help="permit order-8 exhaustive sweeps",
-    )
     p.add_argument("--order-max", type=_non_negative_int, default=6,
-                   help="largest order for exhaustive bound sweeps (default 6)")
+                   help="largest order for exhaustive bound sweeps (default 6, at most "
+                        f"{ENUMERATION_ORDER_CAP}; each scan stops with an error past "
+                        "its time budget)")
     p.add_argument("--t-max", type=_non_negative_int, default=3,
                    help="largest block count for family tables (default 3)")
     p.add_argument("--n-max", type=_non_negative_int, default=20,
@@ -353,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Failures that stop a whole command rather than one input line: an
-# unreadable input file, a bad gen spec, a refused or oversized verify run.
-_COMMAND_ERRORS = (OSError, SpecGrammarError, FamilySpecError, SweepRefusedError, UnsupportedSizeError)
+# unreadable input file, a bad gen spec, an oversized or over-budget verify run.
+_COMMAND_ERRORS = (OSError, SpecGrammarError, FamilySpecError, TimeLimitError, UnsupportedSizeError)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -4,8 +4,10 @@ Sweeps generate one graph per isomorphism class of a given order, one vertex
 at a time and only inside the requested class (triangle-free / bipartite /
 connected), compute phi or phi' via the branching enumerator, and report the
 maximum together with all attaining classes; the bounds suite runs the same
-scan.  The verify_* operations package the checkable claims: closed-form
-family values, the 10^(n/5) and 6^(n/4) bounds with their equality
+scan.  Each scan runs under the wall-clock budget SWEEP_TIME_LIMIT and raises
+TimeLimitError past it, so a runaway order fails loudly instead of hanging.
+The verify_* operations package the checkable claims: closed-form family
+values, the 10^(n/5) and 6^(n/4) bounds with their equality
 characterizations, the per-pivot counting recurrences, and the path/cycle
 bounds.
 
@@ -28,7 +30,7 @@ from .canonical import _least, canonical_form
 from .graph6 import serialize_graph6
 from .graphs import (
     Graph,
-    UnsupportedSizeError,
+    TimeLimitError,
     check_enumeration_order,
     complete_bipartite_graph,
     cycle_graph,
@@ -39,13 +41,8 @@ from .graphs import (
 )
 from .oracle import _members
 
-SWEEP_FULL_ORDER_CAP = 7
-SWEEP_LONG_ORDER_CAP = 8
+SWEEP_TIME_LIMIT = 1200.0  # seconds per class scan, read at call time
 EDGE_PROBABILITIES = (0.2, 0.5, 0.8)
-
-
-class SweepRefusedError(RuntimeError):
-    """An order-8 sweep was requested without the explicit opt-in flag."""
 
 
 def _within_general_bound(phi: int, order: int) -> bool:
@@ -224,11 +221,18 @@ def _scan(order: int, filt: SweepFilter) -> tuple[int, dict[str, _Best], list[in
     """Scan every isomorphism class of `order` that `filt` admits: returns
     (labeled graphs admitted, the maxima of phi and phi' with the canonical
     edge masks of the classes attaining them, the canonical masks of the
-    classes with phi' > phi)."""
+    classes with phi' > phi).  Raises TimeLimitError once the scan has run
+    longer than SWEEP_TIME_LIMIT seconds, checked before each class."""
+    limit = SWEEP_TIME_LIMIT
+    deadline = time.monotonic() + limit
     scanned = 0
     best = {"phi": _Best(), "phi_max": _Best()}
     inverted = []
     for mask, adj, aut in _graphs(order, filt):
+        if time.monotonic() > deadline:
+            raise TimeLimitError(
+                f"order-{order} sweep of {filt.label()} graphs exceeded its {limit:.1f}s budget"
+            )
         scanned += factorial(order) // aut  # labeled graphs in the class
         phi, phi_max = _phi_pair(order, adj)
         best["phi"].add(phi, mask)
@@ -268,38 +272,24 @@ class ExtremalRecord:
         }
 
 
-def _check_sweep_order(order: int, allow_long: bool) -> None:
+def _check_sweep_order(order: int) -> None:
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
-    if order > SWEEP_LONG_ORDER_CAP:
-        raise UnsupportedSizeError(
-            f"exhaustive sweeps are capped at order {SWEEP_LONG_ORDER_CAP}, got {order}"
-        )
-    if order > SWEEP_FULL_ORDER_CAP and not allow_long:
-        n_graphs = 1 << (order * (order - 1) // 2)
-        raise SweepRefusedError(
-            f"a full sweep at order {order} covers {n_graphs:,} labeled graphs; "
-            f"pass allow_long=True / --allow-long to run it anyway"
-        )
+    check_enumeration_order(order)
 
 
-def sweep(
-    order: int,
-    filt: SweepFilter = SweepFilter(),
-    quantity: str = "phi",
-    *,
-    allow_long: bool = False,
-) -> ExtremalRecord:
+def sweep(order: int, filt: SweepFilter = SweepFilter(), quantity: str = "phi") -> ExtremalRecord:
     """Scan every isomorphism class of `order` that `filt` admits and record
     the maximum quantity.
 
     graphs_scanned counts the labeled graphs admitted by the filter, as the
     sum of order!/|Aut| over the classes, and verify_asymptotic_bounds runs
-    the same scan.
+    the same scan.  The scan runs under SWEEP_TIME_LIMIT seconds and raises
+    TimeLimitError past it, returning no record.
     """
     if quantity not in ("phi", "phi_max"):
         raise ValueError(f"quantity must be 'phi' or 'phi_max', got {quantity!r}")
-    _check_sweep_order(order, allow_long)
+    _check_sweep_order(order)
     t0 = time.perf_counter()
     scanned, best, _ = _scan(order, filt)
     return ExtremalRecord(
@@ -562,12 +552,7 @@ def serialize_mask(order: int, mask: int) -> str:
     return serialize_graph6(Graph.from_edge_mask(order, mask))
 
 
-def verify_asymptotic_bounds(
-    order_max: int = 6,
-    *,
-    allow_long: bool = False,
-    seed: int = 0,
-) -> VerificationReport:
+def verify_asymptotic_bounds(order_max: int = 6, *, seed: int = 0) -> VerificationReport:
     """Check phi <= 10^(n/5) and, for triangle-free graphs, phi <= 6^(n/4)
     on every labeled graph up to order_max, with equality exactly on the
     characterized families; phi' is held to the same bounds and to phi' <= phi.
@@ -576,8 +561,10 @@ def verify_asymptotic_bounds(
 
     Each order runs the sweep's scan over all and over triangle-free graphs;
     the records equal sweep's, so triangle-free ones count only those graphs.
+    Each scan runs under SWEEP_TIME_LIMIT seconds and raises TimeLimitError
+    past it, returning no report.
     """
-    _check_sweep_order(order_max, allow_long)
+    _check_sweep_order(order_max)
     t0 = time.perf_counter()
     report = VerificationReport(suite="bounds")
     records = []

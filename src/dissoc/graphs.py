@@ -5,9 +5,7 @@ stored as one bitmask per vertex (bit j of ``adj[i]`` set iff ij is an edge),
 which keeps neighbourhood algebra down to integer bit operations.  All
 counting and enumeration entry points cap the order at
 ``ENUMERATION_ORDER_CAP``; the graph type itself supports anything the graph6
-short form can express (order <= 62).  ``delete_vertices_mapped`` builds
-G - S as a new graph; the package searches G - S in place on a vertex mask,
-and the tests hold that search to this reference.
+short form can express (order <= 62).
 """
 
 from __future__ import annotations
@@ -21,6 +19,10 @@ ENUMERATION_ORDER_CAP = 32
 
 class UnsupportedSizeError(ValueError):
     """The graph is too large for the requested operation."""
+
+
+class TimeLimitError(RuntimeError):
+    """A scan exceeded its wall-clock budget; no partial answer is returned."""
 
 
 class FamilySpecError(ValueError):
@@ -147,29 +149,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.order <= 1 or self.component_count() == 1
-
-
-def delete_vertices_mapped(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the complement of `vertices`, plus the index map.
-
-    Surviving vertices are relabelled 0..k-1 preserving their original
-    relative order; the returned tuple maps new index -> original vertex.
-    """
-    drop = 0
-    for v in vertices:
-        if not 0 <= v < g.order:
-            raise IndexError(f"vertex {v} out of range for order {g.order}")
-        drop |= 1 << v
-    kept = tuple(v for v in range(g.order) if not (drop >> v) & 1)
-    relabel = {old: new for new, old in enumerate(kept)}
-    adj = [0] * len(kept)
-    for new, old in enumerate(kept):
-        m = g.adj[old] & ~drop
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            adj[new] |= 1 << relabel[w]
-    return Graph(len(kept), tuple(adj)), kept
 
 
 # Named families.  Vertex labelling conventions: paths/cycles run 0-1-2-...,

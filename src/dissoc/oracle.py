@@ -16,14 +16,10 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, UnsupportedSizeError
+from .graphs import Graph, TimeLimitError, UnsupportedSizeError
 
 ORACLE_ORDER_CAP = 24
 DEFAULT_TIME_LIMIT = 60.0
-
-
-class OracleTimeoutError(RuntimeError):
-    """The subset scan exceeded its wall-clock budget; no partial answer is returned."""
 
 
 def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
@@ -115,7 +111,7 @@ def _scan(g: Graph, time_limit: float) -> tuple[list[int], int, int]:
     psi = phi_max = 0
     for f in range(1 << g.order):
         if f & 0xFFF == 0 and time.monotonic() > deadline:
-            raise OracleTimeoutError(
+            raise TimeLimitError(
                 f"oracle subset scan exceeded {time_limit:.1f}s at order {g.order}"
             )
         if not _is_dissociation_mask(adj, f):

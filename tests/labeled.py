@@ -1,7 +1,9 @@
-"""Labeled-graph oracles for the class generator: the walk over every labeled
-graph by vertex addition, and the relabellings of one graph."""
+"""Labeled-graph oracles: for the class generator, the walk over every
+labeled graph by vertex addition and the relabellings of one graph; for the
+in-place searches on a vertex mask, G - S built as a new relabelled graph."""
 
 from itertools import permutations
+from typing import Iterable
 
 from dissoc import Graph, SweepFilter, is_bipartite
 from dissoc.graphs import edge_index
@@ -43,3 +45,26 @@ def relabellings(g: Graph):
     edges = list(g.edges())
     for p in permutations(range(g.order)):
         yield sum(bit[p[i]][p[j]] for i, j in edges)
+
+
+def delete_vertices_mapped(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph on the complement of `vertices`, plus the index map.
+
+    Surviving vertices are relabelled 0..k-1 preserving their original
+    relative order; the returned tuple maps new index -> original vertex.
+    """
+    drop = 0
+    for v in vertices:
+        if not 0 <= v < g.order:
+            raise IndexError(f"vertex {v} out of range for order {g.order}")
+        drop |= 1 << v
+    kept = tuple(v for v in range(g.order) if not (drop >> v) & 1)
+    relabel = {old: new for new, old in enumerate(kept)}
+    adj = [0] * len(kept)
+    for new, old in enumerate(kept):
+        m = g.adj[old] & ~drop
+        while m:
+            w = (m & -m).bit_length() - 1
+            m &= m - 1
+            adj[new] |= 1 << relabel[w]
+    return Graph(len(kept), tuple(adj)), kept

@@ -6,13 +6,14 @@ holds.
 """
 
 import random
+import time
 
 import pytest
 
 from dissoc import (
     Graph,
     SweepFilter,
-    SweepRefusedError,
+    TimeLimitError,
     canonical_form,
     complete_bipartite_graph,
     complete_graph,
@@ -29,6 +30,7 @@ from dissoc import (
     verify_path_cycle_bounds,
     verify_recurrences,
 )
+from dissoc import extremal
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -160,14 +162,21 @@ def test_criterion_7_path_cycle_bounds():
     assert ok, report.violations[:5]
 
 
-def test_criterion_8_order8_sweep_is_gated():
-    """The order-8 full sweep is excluded from desk-scale acceptance: it must
-    refuse without the explicit flag, and its expected outcome (max 36 on the
-    two-block 4-clique classes) is corroborated by direct family counts.  The
-    full run is tests/test_long_sweep.py, or `--allow-long`."""
-    with pytest.raises(SweepRefusedError) as exc:
-        sweep(8)
-    refusal_names_cost = "268,435,456" in str(exc.value)
+def test_criterion_8_order8_sweep_is_gated(monkeypatch):
+    """Sweeps are gated by the time budget SWEEP_TIME_LIMIT, not by order: a
+    sweep past the budget raises TimeLimitError naming the order and the
+    budget, so it returns no record.  The order-8 outcome (max 36 on the
+    two-block 4-clique classes) is corroborated by direct family counts; the
+    full run is tests/test_long_sweep.py."""
+    monkeypatch.setattr(extremal, "SWEEP_TIME_LIMIT", 0.5)
+    t0 = time.monotonic()
+    with pytest.raises(TimeLimitError) as exc:
+        sweep(9)
+    refusal_names_budget = (
+        time.monotonic() - t0 < 5.0
+        and "order-9" in str(exc.value)
+        and "0.5s budget" in str(exc.value)
+    )
 
     # every variant pair of 4-clique blocks has exactly 36 maximal sets at n=8
     pair_counts = {
@@ -175,9 +184,8 @@ def test_criterion_8_order8_sweep_is_gated():
         for i in range(3)
         for j in range(3)
     }
-    ok = refusal_names_cost and all(v == 36 for v in pair_counts.values())
-    _report(8, ok, "order-8 sweep refused without flag; two-block 4-clique "
-                   f"counts {sorted(set(pair_counts.values()))} == [36]; full sweep "
-                   "runs only with allow_long / --allow-long")
-    assert refusal_names_cost
+    ok = refusal_names_budget and all(v == 36 for v in pair_counts.values())
+    _report(8, ok, "order-9 sweep over a 0.5 s budget raised TimeLimitError; two-block "
+                   f"4-clique counts {sorted(set(pair_counts.values()))} == [36]")
+    assert refusal_names_budget, str(exc.value)
     assert all(v == 36 for v in pair_counts.values())

@@ -24,8 +24,8 @@ from dissoc import (
     path_graph,
 )
 from dissoc.branching import _pivot_partition, candidate_masks
-from dissoc.graphs import delete_vertices_mapped
 
+from labeled import delete_vertices_mapped
 from strategies import graphs
 
 

@@ -21,6 +21,7 @@ from dissoc import (
     path_graph,
     serialize_graph6,
 )
+from dissoc import extremal
 from dissoc.cli import main, parse_family_string, SpecGrammarError
 
 
@@ -337,6 +338,7 @@ def test_verify_json_is_a_single_document(monkeypatch, capsys):
         ["enumerate", "--seed", "4"],
         ["gen", "--format", "json", "path:3"],
         ["verify", "families", "--limit", "3"],
+        ["verify", "bounds", "--allow-long"],
     ],
 )
 def test_options_belong_to_the_subcommands_that_read_them(argv, monkeypatch, capsys):
@@ -354,12 +356,23 @@ def test_verify_refuses_negative_sizes(option, monkeypatch, capsys):
     assert f"argument {option}: must be at least 0, got -2" in capsys.readouterr().err
 
 
-def test_verify_bounds_refuses_order8(monkeypatch, capsys):
+def test_verify_bounds_over_budget_prints_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(extremal, "SWEEP_TIME_LIMIT", 0.5)
     code, out, err = run_cli(
-        ["verify", "bounds", "--order-max", "8"], monkeypatch=monkeypatch, capsys=capsys
+        ["verify", "bounds", "--order-max", "9"], monkeypatch=monkeypatch, capsys=capsys
     )
     assert code == 2
-    assert "allow-long" in err or "allow_long" in err
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: order-") and line.endswith("exceeded its 0.5s budget")
+
+
+def test_verify_bounds_rejects_orders_beyond_the_enumeration_cap(monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["verify", "bounds", "--order-max", "33"], monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 2
+    assert err == "error: order 33 exceeds the enumeration cap of 32\n"
 
 
 # --- pipeline composition ---------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,14 @@ from hypothesis import given, settings
 from dissoc import (
     Graph,
     SweepFilter,
-    SweepRefusedError,
+    TimeLimitError,
     UnsupportedSizeError,
     canonical_form,
     complete_bipartite_graph,
     complete_graph,
     count,
     cycle_graph,
+    disjoint_union,
     is_bipartite,
     is_triangle_free,
     k_star_graph,
@@ -185,14 +187,19 @@ def test_sweep_order5_unfiltered_finds_three_classes():
     assert sorted(rec.extremal_canonical) == expected
 
 
-def test_sweep_refuses_order8_without_flag():
-    with pytest.raises(SweepRefusedError, match="268,435,456"):
-        sweep(8)
+def test_sweep_rejects_orders_beyond_the_enumeration_cap():
+    with pytest.raises(UnsupportedSizeError, match="enumeration cap of 32"):
+        sweep(33)
 
 
-def test_sweep_rejects_order9_even_with_flag():
-    with pytest.raises(UnsupportedSizeError):
-        sweep(9, allow_long=True)
+def test_order9_maximum_60_is_attained_on_k5_k4_pairs():
+    # the order-9 sweep (minutes, outside this suite) finds max phi 60 on
+    # these nine classes, below 10^(9/5) ~ 63.1
+    for i in range(3):
+        for j in range(3):
+            result = count(disjoint_union(k_star_graph(5, i), k_star_graph(4, j)))
+            assert result.phi == result.phi_max == 60, (i, j)
+    assert _within_general_bound(60, 9)
 
 
 def test_sweep_rejects_unknown_quantity():
@@ -316,9 +323,11 @@ def test_bounds_small():
     assert rec["extremal_graph6"] == [canonical_form(cycle_graph(4))]
 
 
-def test_bounds_refuses_order8_without_flag():
-    with pytest.raises(SweepRefusedError):
-        verify_asymptotic_bounds(order_max=8)
+def test_bounds_over_budget_raises_time_limit_error(monkeypatch):
+    monkeypatch.setattr(extremal, "SWEEP_TIME_LIMIT", 0.5)
+    budget = r"order-[789] sweep of all graphs exceeded its 0\.5s budget"
+    with pytest.raises(TimeLimitError, match=budget):
+        verify_asymptotic_bounds(order_max=9)
 
 
 def _small_bounds(order_max=5):
@@ -419,8 +428,7 @@ def test_sweep_filter_admits_matches_predicates(g):
     (["--orders", "3-"], "argument --orders: expected a range"),
     (["--orders", "2,x"], "argument --orders: expected a range"),
     (["--orders=-1"], "argument --orders: expected a range"),
-    (["--orders", "9"], "error: exhaustive sweeps are capped at order 8, got 9"),
-    (["--orders", "8"], "error: a full sweep at order 8 covers 268,435,456 labeled graphs"),
+    (["--orders", "33"], "error: order 33 exceeds the enumeration cap of 32"),
 ])
 def test_sweep_report_script_rejects_bad_orders_with_one_error_line(args, message):
     root = Path(__file__).resolve().parents[1]
@@ -432,3 +440,15 @@ def test_sweep_report_script_rejects_bad_orders_with_one_error_line(args, messag
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr.splitlines()[-1]
+
+
+def test_sweep_report_script_over_budget_prints_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(extremal, "SWEEP_TIME_LIMIT", 0.5)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_report.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--orders", "9"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1  # the table header, and no row
+    assert err.splitlines() == ["error: order-9 sweep of all graphs exceeded its 0.5s budget"]

@@ -15,8 +15,8 @@ from dissoc import (
     path_graph,
 )
 from dissoc.cli import parse_family_string
-from dissoc.graphs import delete_vertices_mapped
 
+from labeled import delete_vertices_mapped
 from strategies import graphs
 
 

@@ -1,10 +1,11 @@
-"""The order-8 full sweep over all 12,346 isomorphism classes (2^28 labeled graphs)."""
+"""The order-8 full sweep over all 12,346 isomorphism classes (2^28 labeled
+graphs), run with no flag under the default time budget."""
 
 from dissoc import SweepFilter, canonical_form, disjoint_union, k_star_graph, sweep
 
 
 def test_order8_full_sweep_maximum_is_36_on_two_block_4_cliques():
-    rec = sweep(8, SweepFilter(), allow_long=True)
+    rec = sweep(8, SweepFilter())
     assert rec.max_value == 36
     expected = {
         canonical_form(disjoint_union(k_star_graph(4, i), k_star_graph(4, j)))

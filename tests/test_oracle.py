@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 
 from dissoc import (
     Graph,
-    OracleTimeoutError,
+    TimeLimitError,
     UnsupportedSizeError,
     complete_bipartite_graph,
     complete_graph,
@@ -131,7 +131,7 @@ def test_oracle_rejects_orders_beyond_cap():
 
 def test_oracle_time_guard_raises_instead_of_truncating():
     for oracle in (enumerate_maximal_bruteforce, dissociation_number, count_maximum_bruteforce):
-        with pytest.raises(OracleTimeoutError):
+        with pytest.raises(TimeLimitError):
             oracle(complete_graph(12), time_limit=0.0)
 
 

@@ -14,13 +14,13 @@ def test_every_exported_name_resolves_once():
 
 def test_removed_layers_stay_removed():
     for name in ("FamilySpec", "build", "PivotPartition", "classify_by_pivot",
-                 "BoundConstants", "BOUNDS"):
+                 "BoundConstants", "BOUNDS", "SweepRefusedError", "OracleTimeoutError"):
         assert not hasattr(dissoc, name), name
 
 
 def test_verify_suites_take_only_the_options_a_caller_sets():
     expected = {
-        "verify_asymptotic_bounds": ["order_max", "allow_long", "seed"],
+        "verify_asymptotic_bounds": ["order_max", "seed"],
         "verify_recurrences": ["pivot_trials", "seed"],
         "verify_family_values": ["max_t"],
         "verify_path_cycle_bounds": ["n_max"],
@@ -31,7 +31,7 @@ def test_verify_suites_take_only_the_options_a_caller_sets():
 
 def test_sweep_runs_in_one_process():
     params = list(inspect.signature(dissoc.sweep).parameters)
-    assert params == ["order", "filt", "quantity", "allow_long"]
+    assert params == ["order", "filt", "quantity"]
 
 
 def test_dissoc_verify_is_the_only_verification_driver():
