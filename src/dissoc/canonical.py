@@ -64,11 +64,17 @@ def _least(order: int, adj: tuple[int, ...], stop_below: bool = False) -> tuple[
     return best, count
 
 
-def canonical_form(g: Graph) -> str:
-    """graph6 string of the lexicographically least relabelling of g."""
-    if g.order > CANONICAL_ORDER_CAP:
-        raise UnsupportedSizeError(f"canonical_form is capped at order {CANONICAL_ORDER_CAP}, got {g.order}")
+def _canonical_graph6(g: Graph) -> str:
+    """graph6 string of the lexicographically least relabelling of g, at any
+    order: the caller answers for the search's cost on symmetric graphs."""
     columns, _ = _least(g.order, g.adj)
     mask = sum(1 << edge_index(i, k) for k, column in enumerate(columns)
                for i in range(k) if column >> (k - 1 - i) & 1)
     return serialize_graph6(Graph.from_edge_mask(g.order, mask))
+
+
+def canonical_form(g: Graph) -> str:
+    """graph6 string of the lexicographically least relabelling of g."""
+    if g.order > CANONICAL_ORDER_CAP:
+        raise UnsupportedSizeError(f"canonical_form is capped at order {CANONICAL_ORDER_CAP}, got {g.order}")
+    return _canonical_graph6(g)

@@ -36,6 +36,7 @@ from .graphs import (
     k_star_graph,
     path_graph,
 )
+from .oracle import _byte_tables, _members
 
 VERIFY_SUITES = ("bounds", "families", "recurrences", "paths-cycles", "all")
 
@@ -179,8 +180,8 @@ def _cmd_count(args) -> int:
     return 1 if errors else 0
 
 
-# decimal text of every vertex an enumeration can hold: indexing beats str()
-_VERTEX_TEXT = [str(v) for v in range(ENUMERATION_ORDER_CAP)]
+# _T<k>[b]: "v " for each vertex v of byte value b at byte position k, ascending
+_T0, _T1, _T2, _T3 = _byte_tables("", lambda v, rest: f"{v} {rest}")
 
 
 def _cmd_enumerate(args) -> int:
@@ -188,32 +189,38 @@ def _cmd_enumerate(args) -> int:
     limit = args.limit
     results = []
     for _, text, g in parsed:
-        family = enumerate_maximal(g)
-        sets = family.sets
-        truncated = limit is not None and len(sets) > limit
-        shown = sets[:limit] if truncated else sets
+        masks = enumerate_maximal(g).masks
+        truncated = limit is not None and len(masks) > limit
         results.append(
-            {"graph6": text, "n": g.order, "phi": len(family),
-             "truncated": truncated, "sets": shown}
+            {"graph6": text, "n": g.order, "phi": len(masks),
+             "truncated": truncated, "sets": masks[:limit] if truncated else masks}
         )
+    if args.format == "json":
+        for r in results:
+            r["sets"] = list(map(_members, r["sets"]))
     if not _emit_json_or_errors(args.format, "enumerate", results, errors):
-        # One formatted string per row.  No csv field needs quoting: graph6
-        # text is bytes 63..126 and a vertex list is digits and spaces.
+        # One formatted string per row, straight from the mask: the four byte
+        # tables' texts minus the last space.  No csv field needs quoting:
+        # graph6 text is bytes 63..126 and a vertex list is digits and spaces.
         out = sys.stdout
-        name = _VERTEX_TEXT.__getitem__
+        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
         if args.format == "csv":
             out.write("graph6,set_index,size,vertices\n")
             for r in results:
                 g6 = r["graph6"]
-                out.writelines(f"{g6},{k},{len(s)},{' '.join(map(name, s))}\n"
-                               for k, s in enumerate(r["sets"]))
+                out.writelines(
+                    f"{g6},{k},{m.bit_count()},"
+                    f"{(t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16 & 255] + t3[m >> 24])[:-1]}\n"
+                    for k, m in enumerate(r["sets"]))
                 if r["truncated"]:
                     print(f"{g6}: truncated at {len(r['sets'])} of {r['phi']} sets",
                           file=sys.stderr)
         else:
             for r in results:
                 print(f"{r['graph6']}  n={r['n']}  phi={r['phi']}")
-                out.writelines(f"  {' '.join(map(name, s))}\n" for s in r["sets"])
+                out.writelines(
+                    f"  {(t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16 & 255] + t3[m >> 24])[:-1]}\n"
+                    for m in r["sets"])
                 if r["truncated"]:
                     print(f"  ... truncated, showing {len(r['sets'])} of {r['phi']}")
     return 1 if errors else 0

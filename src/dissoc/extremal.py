@@ -26,7 +26,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .branching import _pivot_partition, count, maximal_masks
-from .canonical import _least, canonical_form
+from .canonical import _canonical_graph6, _least
 from .graph6 import serialize_graph6
 from .graphs import (
     Graph,
@@ -447,7 +447,7 @@ def _expected_general_equality_classes(order: int) -> set[str]:
     t = order // 5
     out = set()
     for combo in combinations_with_replacement(range(3), t):
-        out.add(canonical_form(disjoint_union(*(k_star_graph(5, i) for i in combo))))
+        out.add(_canonical_graph6(disjoint_union(*(k_star_graph(5, i) for i in combo))))
     return out
 
 
@@ -456,12 +456,12 @@ def _expected_triangle_free_equality_classes(order: int) -> set[str]:
     4-cycles."""
     if order % 4:
         return set()
-    return {canonical_form(disjoint_union(*[cycle_graph(4)] * (order // 4)))}
+    return {_canonical_graph6(disjoint_union(*[cycle_graph(4)] * (order // 4)))}
 
 
 def _expected_order8_classes() -> set[str]:
     return {
-        canonical_form(disjoint_union(k_star_graph(4, i), k_star_graph(4, j)))
+        _canonical_graph6(disjoint_union(k_star_graph(4, i), k_star_graph(4, j)))
         for i, j in combinations_with_replacement(range(3), 2)
     }
 

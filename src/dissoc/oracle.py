@@ -5,21 +5,28 @@ degree at most one.  One scan of all 2^n subsets tests each dissociation set
 for maximality by explicit single-vertex extension and tallies psi and phi'
 over all of them -- intentionally naive, so the fast enumerator has an
 independent referee.  Both hand their vertex bitmasks to DissociationFamily,
-which decodes each set once, into a sorted tuple.  `_members` decodes a mask
-below 2^32 (every caller is capped at ENUMERATION_ORDER_CAP = 32) by four
-lookups in per-byte tables of member tuples, built once at import.
+which keeps them as masks in canonical order and decodes a set into its
+sorted member tuple only when asked.  `_members` decodes a mask below 2^32
+(every caller is capped at ENUMERATION_ORDER_CAP = 32) by four lookups in
+per-byte tables of member tuples, built once at import.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from itertools import repeat
+from operator import and_, lshift, or_
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .graphs import Graph, TimeLimitError, UnsupportedSizeError
 
 ORACLE_ORDER_CAP = 24
 DEFAULT_TIME_LIMIT = 60.0
+
+_T = TypeVar("_T")
 
 
 def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
@@ -31,15 +38,40 @@ def _mask_of(g: Graph, vertices: Iterable[int]) -> int:
     return mask
 
 
+def _byte_tables(empty: _T, prepend: Callable[[int, _T], _T]) -> list[list[_T]]:
+    """Four tables, one per byte position k, indexed by byte value b.  The
+    entry for b prepends the vertices 8k + i with bit i of b set to `empty`,
+    least vertex first: it is `prepend` of b's least vertex to the entry of b
+    with that bit cleared, so the tables cost one call per entry."""
+    tables = []
+    for k in range(4):
+        table = [empty]
+        for b in range(1, 256):
+            table.append(prepend(8 * k + (b & -b).bit_length() - 1, table[b & (b - 1)]))
+        tables.append(table)
+    return tables
+
+
 # _M<k>[b]: the vertices of byte value b at byte position k, ascending
-_M0, _M1, _M2, _M3 = (
-    [tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256)] for k in range(4)
-)
+_M0, _M1, _M2, _M3 = _byte_tables((), lambda v, rest: (v, *rest))
 
 
 def _members(mask: int) -> tuple[int, ...]:
     """The set bits of a mask below 2^32, ascending."""
     return _M0[mask & 255] + _M1[mask >> 8 & 255] + _M2[mask >> 16 & 255] + _M3[mask >> 24]
+
+
+# _FLIP[b]: the complement of the byte b with its 8 bits in reverse order
+_FLIP = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _flip(words: array) -> array:
+    """Each 32-bit word as its complement, bit-reversed: flipping twice gives
+    the word back.  Reversing the bits of every byte and then the byte order
+    reverses the word on either endianness."""
+    out = array("I", words.tobytes().translate(_FLIP))
+    out.byteswap()
+    return out
 
 
 def _is_dissociation_mask(adj: Sequence[int], f: int) -> bool:
@@ -75,23 +107,33 @@ def is_maximal(g: Graph, f: Iterable[int]) -> bool:
 class DissociationFamily:
     """All maximal dissociation sets of one graph, deduplicated and in
     canonical order: by size, then lexicographically by sorted member list.
-    Each set is held as its sorted member tuple, which `from_masks` decodes
-    from a vertex bitmask below 2^32 by table lookup (`_members`)."""
+    Each set is held as a vertex bitmask below 2^32; iteration and `sets`
+    decode the masks into sorted member tuples by table lookup (`_members`).
+    Equality and hashing compare the order and the mask tuple."""
 
     source_order: int
-    sets: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     @classmethod
     def from_masks(cls, order: int, masks: Iterable[int]) -> "DissociationFamily":
-        members = sorted(map(_members, set(masks)))
-        members.sort(key=len)  # stable, so each size stays lexicographic
-        return cls(order, tuple(members))
+        # One int key per set: its size above its flipped mask.  Among sets of
+        # one size the least vertex where two differ is the highest differing
+        # bit of the bit-reversed masks, and complementing puts the set that
+        # holds it first, as the member lists order them.  The low 32 bits of
+        # each sorted key flip back to its mask.
+        unique = array("I", set(masks))  # 'I' is 32 bits on CPython's platforms
+        keys = sorted(map(or_, map(lshift, map(int.bit_count, unique), repeat(32)), _flip(unique)))
+        return cls(order, tuple(_flip(array("I", map(and_, keys, repeat(0xFFFFFFFF))))))
+
+    @cached_property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(_members, self.masks))
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.sets)
+        return map(_members, self.masks)
 
     def __contains__(self, item: Iterable[int]) -> bool:
         return tuple(sorted(set(item))) in self.sets

@@ -6,7 +6,9 @@ import json
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from dissoc import (
     Graph,
@@ -22,7 +24,8 @@ from dissoc import (
     serialize_graph6,
 )
 from dissoc import extremal
-from dissoc.cli import main, parse_family_string, SpecGrammarError
+from dissoc.cli import _T0, _T1, _T2, _T3, main, parse_family_string, SpecGrammarError
+from dissoc.oracle import _members
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -276,10 +279,12 @@ def enumerate_reference(lines, fmt, limit):
 @pytest.mark.parametrize("limit", [None, 3])
 @pytest.mark.parametrize("fmt", ["csv", "table"])
 def test_enumerate_csv_and_table_bytes(fmt, limit, monkeypatch, capsys):
-    # the null graph, one vertex, a malformed line, vertices past 9, and
-    # graphs with more than three sets for --limit 3 to cut
+    # the null graph, one vertex, a malformed line, vertices past 9, graphs
+    # with more than three sets for --limit 3 to cut, and order 32 (28
+    # isolated vertices and K4: six sets of 30 vertices, up to vertex 31)
     lines = ["?", "@", "!!", serialize_graph6(path_graph(12)),
-             serialize_graph6(complete_graph(5)), serialize_graph6(cycle_graph(4))]
+             serialize_graph6(complete_graph(5)), serialize_graph6(cycle_graph(4)),
+             serialize_graph6(disjoint_union(Graph(28, (0,) * 28), complete_graph(4)))]
     argv = ["enumerate", "--format", fmt] + ([] if limit is None else ["--limit", str(limit)])
     code, out, err = run_cli(argv, stdin_text="\n".join(lines) + "\n",
                              monkeypatch=monkeypatch, capsys=capsys)
@@ -293,6 +298,15 @@ def test_enumerate_csv_and_table_bytes(fmt, limit, monkeypatch, capsys):
         assert "\nKhCGGC@?G?_@  n=12  phi=46\n  1 2 5 6 9 10\n" in out
     if limit is not None:
         assert (f"{serialize_graph6(complete_graph(5))}: truncated at 3 of 10 sets" in err) == (fmt == "csv")
+
+
+@given(st.integers(0, (1 << 32) - 1))
+@example(0)
+@example(1 << 31)
+@example((1 << 32) - 1)
+def test_row_text_tables_spell_the_members(mask):
+    text = (_T0[mask & 255] + _T1[mask >> 8 & 255] + _T2[mask >> 16 & 255] + _T3[mask >> 24])[:-1]
+    assert text == " ".join(map(str, _members(mask)))
 
 
 def test_max_reports_lexicographically_least(monkeypatch, capsys):

@@ -35,9 +35,13 @@ from dissoc import (
     verify_recurrences,
 )
 from dissoc import extremal
+from dissoc.canonical import _canonical_graph6, _least
 from dissoc.extremal import (
     VerificationReport,
     _below_path_bound,
+    _expected_general_equality_classes,
+    _expected_order8_classes,
+    _expected_triangle_free_equality_classes,
     _within_general_bound,
     _within_triangle_free_bound,
     serialize_mask,
@@ -323,6 +327,37 @@ def test_bounds_small():
     assert rec["extremal_graph6"] == [canonical_form(cycle_graph(4))]
 
 
+# the expected equality classes of orders 4..8, as canonical_form labelled them
+EXPECTED_CLASSES = {
+    4: (set(), {"C]"}),
+    5: ({"D]{", "D^{", "D~{"}, set()),
+    6: (set(), set()),
+    7: (set(), set()),
+    8: (set(), {"G?KuE?"}),
+}
+
+
+def test_expected_equality_classes_are_pinned_through_order_8():
+    for order, (general, triangle_free) in EXPECTED_CLASSES.items():
+        assert _expected_general_equality_classes(order) == general
+        assert _expected_triangle_free_equality_classes(order) == triangle_free
+    assert _expected_order8_classes() == {
+        "G?KuE?", "G?KuEC", "G?K}EC", "G@K}E?", "G@K}EC", "GJ]CKK"}
+
+
+def test_expected_equality_classes_pass_canonical_form_cap():
+    # the six unions of two K5 minus a matching, and 3C4, are labelled past order 8
+    with pytest.raises(UnsupportedSizeError):
+        canonical_form(complete_graph(9))
+    general = _expected_general_equality_classes(10)
+    triangle_free = _expected_triangle_free_equality_classes(12)
+    assert (len(general), len(triangle_free)) == (6, 1)
+    for text in general | triangle_free:
+        g = parse_graph6(text)
+        assert _least(g.order, g.adj, stop_below=True) is not None  # its own least labelling
+    assert {parse_graph6(text).order for text in general} == {10}
+
+
 def test_bounds_over_budget_raises_time_limit_error(monkeypatch):
     monkeypatch.setattr(extremal, "SWEEP_TIME_LIMIT", 0.5)
     budget = r"order-[789] sweep of all graphs exceeded its 0\.5s budget"
@@ -390,13 +425,14 @@ def test_bounds_report_every_graph_with_phi_max_above_phi(monkeypatch):
 
 
 def test_sweep_makes_no_canonical_form_calls(monkeypatch):
+    # extremal labels graphs only through the helper behind canonical_form
     calls = []
 
     def counted(g):
         calls.append(g)
-        return canonical_form(g)
+        return _canonical_graph6(g)
 
-    monkeypatch.setattr(extremal, "canonical_form", counted)
+    monkeypatch.setattr(extremal, "_canonical_graph6", counted)
     for filt in FILTERS.values():
         for order in range(7):
             sweep(order, filt)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from dissoc import (
+    DissociationFamily,
     Graph,
     TimeLimitError,
     UnsupportedSizeError,
@@ -105,6 +106,29 @@ def test_family_yields_sorted_tuples_and_tests_membership_by_set():
     assert (3, 2) in family
     assert [0, 1, 2] not in family
     assert [0] not in family
+    assert [-1] not in family  # out-of-range vertices are absent, not errors
+    assert [40] not in family
+    assert [0, 40] not in family
+
+
+_MASKS = st.one_of(
+    st.integers(0, (1 << 32) - 1),
+    st.integers(0, 63),  # small sets: many size ties
+    st.sampled_from([0, 1 << 31, (1 << 32) - 1, 1 | 1 << 31]),
+)
+
+
+@given(st.lists(_MASKS, max_size=40))
+@example([0, 1 << 31, 1 << 31, 1, 2, 3, 5, 6, 9, 10, 12, 1 | 1 << 31, 2 | 1 << 30])
+def test_family_order_is_size_then_member_list(masks):
+    expected = sorted(map(_members, set(masks)))
+    expected.sort(key=len)  # stable, so each size stays lexicographic
+    family = DissociationFamily.from_masks(32, masks)
+    assert family.sets == tuple(expected)
+    assert list(family) == expected
+    assert len(family) == len(expected)
+    assert family.masks == tuple(sum(1 << v for v in s) for s in expected)
+    assert family == DissociationFamily.from_masks(32, reversed(masks))
 
 
 def _members_by_bit_loop(mask):
