@@ -9,7 +9,6 @@ zero exactly when no errors and no verification violations occurred.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import Sequence
@@ -139,10 +138,10 @@ def _print_table(rows: list[dict], columns: Sequence[str]) -> None:
 
 
 def _print_csv(rows: list[dict], columns: Sequence[str]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    for r in rows:
-        writer.writerow([r.get(c, "") for c in columns])
+    # No field needs quoting: graph6 text is bytes 63..126, and every other
+    # field is a number, a suite name or a space-separated vertex list.
+    print(",".join(columns))
+    sys.stdout.writelines(",".join(str(r[c]) for c in columns) + "\n" for r in rows)
 
 
 def _emit_json_or_errors(fmt: str, command: str, rows: list[dict], errors: list[dict]) -> bool:
@@ -169,13 +168,7 @@ def _emit_rows(fmt: str, command: str, rows: list[dict], columns: Sequence[str],
 
 def _cmd_count(args) -> int:
     parsed, errors = _parse_lines(args.input)
-    rows = []
-    for _, text, g in parsed:
-        result = count(g)
-        rows.append(
-            {"graph6": text, "n": g.order, "phi": result.phi,
-             "phi_max": result.phi_max, "psi": result.psi}
-        )
+    rows = [{"graph6": text, "n": g.order, **count(g).as_dict()} for _, text, g in parsed]
     _emit_rows(args.format, "count", rows, ("graph6", "n", "phi", "phi_max", "psi"), errors)
     return 1 if errors else 0
 
@@ -200,8 +193,8 @@ def _cmd_enumerate(args) -> int:
             r["sets"] = list(map(_members, r["sets"]))
     if not _emit_json_or_errors(args.format, "enumerate", results, errors):
         # One formatted string per row, straight from the mask: the four byte
-        # tables' texts minus the last space.  No csv field needs quoting:
-        # graph6 text is bytes 63..126 and a vertex list is digits and spaces.
+        # tables' texts minus the last space.  As in _print_csv, no csv field
+        # needs quoting.
         out = sys.stdout
         t0, t1, t2, t3 = _T0, _T1, _T2, _T3
         if args.format == "csv":
@@ -271,10 +264,11 @@ def _cmd_verify(args) -> int:
         json.dump(doc, sys.stdout, indent=2)
         print()
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(("suite", "checks", "violations", "elapsed_ms"))
-        for r in reports:
-            writer.writerow((r.suite, r.checks, len(r.violations), f"{r.elapsed_ms:.1f}"))
+        _print_csv(
+            [{"suite": r.suite, "checks": r.checks, "violations": len(r.violations),
+              "elapsed_ms": f"{r.elapsed_ms:.1f}"} for r in reports],
+            ("suite", "checks", "violations", "elapsed_ms"),
+        )
         for r in reports:
             for v in r.violations:
                 print(f"{r.suite}: {v.check}: {v.detail}", file=sys.stderr)
@@ -352,8 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Failures that stop a whole command rather than one input line: an
-# unreadable input file, a bad gen spec, an oversized or over-budget verify run.
-_COMMAND_ERRORS = (OSError, SpecGrammarError, FamilySpecError, TimeLimitError, UnsupportedSizeError)
+# unreadable input file, a bad gen spec or a gen graph past graph6's short
+# form, an oversized or over-budget verify run.
+_COMMAND_ERRORS = (
+    OSError, SpecGrammarError, FamilySpecError, Graph6Error, TimeLimitError, UnsupportedSizeError
+)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

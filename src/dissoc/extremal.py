@@ -1,10 +1,12 @@
 """Exhaustive desk-scale verification of dissociation-set extremal facts.
 
-Sweeps generate one graph per isomorphism class of a given order, one vertex
-at a time and only inside the requested class (triangle-free / bipartite /
-connected), compute phi or phi' via the branching enumerator, and report the
-maximum together with all attaining classes; the bounds suite runs the same
-scan.  Each scan runs under the wall-clock budget SWEEP_TIME_LIMIT and raises
+A class scan generates one graph per isomorphism class of a given order, one
+vertex at a time and only inside the requested class (triangle-free /
+bipartite / connected), computes phi and phi' via the branching enumerator,
+and returns one ExtremalRecord per quantity: the maximum together with all
+attaining classes.  `sweep` returns the record of one quantity, and the
+bounds suite reports both records of each scan as its details.records.  Each
+scan runs under the wall-clock budget SWEEP_TIME_LIMIT and raises
 TimeLimitError past it, so a runaway order fails loudly instead of hanging.
 The verify_* operations package the checkable claims: closed-form family
 values, the 10^(n/5) and 6^(n/4) bounds with their equality
@@ -211,40 +213,11 @@ class _Best:
         elif value == self.value:
             self.masks.append(mask)
 
-    def classes(self, order: int) -> list[str]:
-        """Canonical graph6 strings of the attaining isomorphism classes; every
-        witness is already its class's canonical labelling."""
-        return sorted(serialize_mask(order, m) for m in self.masks)
-
-
-def _scan(order: int, filt: SweepFilter) -> tuple[int, dict[str, _Best], list[int]]:
-    """Scan every isomorphism class of `order` that `filt` admits: returns
-    (labeled graphs admitted, the maxima of phi and phi' with the canonical
-    edge masks of the classes attaining them, the canonical masks of the
-    classes with phi' > phi).  Raises TimeLimitError once the scan has run
-    longer than SWEEP_TIME_LIMIT seconds, checked before each class."""
-    limit = SWEEP_TIME_LIMIT
-    deadline = time.monotonic() + limit
-    scanned = 0
-    best = {"phi": _Best(), "phi_max": _Best()}
-    inverted = []
-    for mask, adj, aut in _graphs(order, filt):
-        if time.monotonic() > deadline:
-            raise TimeLimitError(
-                f"order-{order} sweep of {filt.label()} graphs exceeded its {limit:.1f}s budget"
-            )
-        scanned += factorial(order) // aut  # labeled graphs in the class
-        phi, phi_max = _phi_pair(order, adj)
-        best["phi"].add(phi, mask)
-        best["phi_max"].add(phi_max, mask)
-        if phi_max > phi:
-            inverted.append(mask)
-    return scanned, best, inverted
-
 
 @dataclass(frozen=True)
 class ExtremalRecord:
-    """Result of one sweep: the maximum value and its attaining classes.
+    """Result of one class scan for one quantity: the maximum value and its
+    attaining classes.
 
     extremal_canonical holds one canonical graph6 string per isomorphism
     class; the canonical string doubles as the class representative.
@@ -260,6 +233,7 @@ class ExtremalRecord:
     elapsed_ms: float = field(compare=False)  # timing is metadata, not a result
 
     def to_json_dict(self) -> dict:
+        """The record as `verify bounds` reports it in details.records."""
         return {
             "order": self.order,
             "filter": self.filter.label(),
@@ -267,9 +241,38 @@ class ExtremalRecord:
             "max_value": self.max_value,
             "extremal_graph6": list(self.extremal_canonical),
             "graphs_scanned": self.graphs_scanned,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-            "violations": [],
         }
+
+
+def _scan(order: int, filt: SweepFilter) -> tuple[dict[str, ExtremalRecord], list[int]]:
+    """Scan every isomorphism class of `order` that `filt` admits: returns
+    the records of phi and phi', keyed by quantity, and the canonical edge
+    masks of the classes with phi' > phi.  Every witness is already its
+    class's canonical labelling.  Raises TimeLimitError once the scan has run
+    longer than SWEEP_TIME_LIMIT seconds, checked before each class."""
+    limit = SWEEP_TIME_LIMIT
+    start = time.monotonic()
+    scanned = 0
+    best = {"phi": _Best(), "phi_max": _Best()}
+    inverted = []
+    for mask, adj, aut in _graphs(order, filt):
+        if time.monotonic() - start > limit:
+            raise TimeLimitError(
+                f"order-{order} sweep of {filt.label()} graphs exceeded its {limit:.1f}s budget"
+            )
+        scanned += factorial(order) // aut  # labeled graphs in the class
+        phi, phi_max = _phi_pair(order, adj)
+        best["phi"].add(phi, mask)
+        best["phi_max"].add(phi_max, mask)
+        if phi_max > phi:
+            inverted.append(mask)
+    elapsed_ms = (time.monotonic() - start) * 1000.0
+    records = {
+        q: ExtremalRecord(order, filt, q, b.value,
+                          tuple(sorted(serialize_mask(order, m) for m in b.masks)), scanned, elapsed_ms)
+        for q, b in best.items()
+    }
+    return records, inverted
 
 
 def _check_sweep_order(order: int) -> None:
@@ -283,24 +286,15 @@ def sweep(order: int, filt: SweepFilter = SweepFilter(), quantity: str = "phi") 
     the maximum quantity.
 
     graphs_scanned counts the labeled graphs admitted by the filter, as the
-    sum of order!/|Aut| over the classes, and verify_asymptotic_bounds runs
-    the same scan.  The scan runs under SWEEP_TIME_LIMIT seconds and raises
-    TimeLimitError past it, returning no record.
+    sum of order!/|Aut| over the classes.  verify_asymptotic_bounds runs the
+    same scan and reports these records.  The scan runs under
+    SWEEP_TIME_LIMIT seconds and raises TimeLimitError past it, returning no
+    record.
     """
     if quantity not in ("phi", "phi_max"):
         raise ValueError(f"quantity must be 'phi' or 'phi_max', got {quantity!r}")
     _check_sweep_order(order)
-    t0 = time.perf_counter()
-    scanned, best, _ = _scan(order, filt)
-    return ExtremalRecord(
-        order=order,
-        filter=filt,
-        quantity=quantity,
-        max_value=best[quantity].value,
-        extremal_canonical=tuple(best[quantity].classes(order)),
-        graphs_scanned=scanned,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return _scan(order, filt)[0][quantity]
 
 
 # ---------------------------------------------------------------------------
@@ -439,34 +433,33 @@ def verify_family_values(max_t: int = 3) -> VerificationReport:
 # universal bounds and extremal characterizations
 # ---------------------------------------------------------------------------
 
+def _canonical_kstar_unions(m: int, t: int, variants: Sequence[int] = range(3)) -> set[str]:
+    """Canonical forms of the disjoint unions of t copies of K_m minus a
+    matching, one per multiset of matching sizes drawn from `variants`."""
+    return {
+        _canonical_graph6(disjoint_union(*(k_star_graph(m, i) for i in combo)))
+        for combo in combinations_with_replacement(variants, t)
+    }
+
+
 def _expected_general_equality_classes(order: int) -> set[str]:
     """Canonical forms of the graphs attaining 10^(n/5): unions of 5-cliques
     with at most two matching edges removed."""
-    if order % 5:
-        return set()
-    t = order // 5
-    out = set()
-    for combo in combinations_with_replacement(range(3), t):
-        out.add(_canonical_graph6(disjoint_union(*(k_star_graph(5, i) for i in combo))))
-    return out
+    return set() if order % 5 else _canonical_kstar_unions(5, order // 5)
 
 
 def _expected_triangle_free_equality_classes(order: int) -> set[str]:
     """Canonical forms attaining 6^(n/4) among triangle-free graphs: unions of
-    4-cycles."""
-    if order % 4:
-        return set()
-    return {_canonical_graph6(disjoint_union(*[cycle_graph(4)] * (order // 4)))}
+    4-cycles, each a 4-clique minus a perfect matching."""
+    return set() if order % 4 else _canonical_kstar_unions(4, order // 4, variants=(2,))
 
 
 def _expected_order8_classes() -> set[str]:
-    return {
-        _canonical_graph6(disjoint_union(k_star_graph(4, i), k_star_graph(4, j)))
-        for i, j in combinations_with_replacement(range(3), 2)
-    }
+    """The order-8 maximum's classes: two 4-cliques, each minus a matching."""
+    return _canonical_kstar_unions(4, 2)
 
 
-def _scan_bounds_order(order: int, report: VerificationReport) -> list[dict]:
+def _scan_bounds_order(order: int, report: VerificationReport) -> list[ExtremalRecord]:
     """Bound checks, equality classes and extremal records at one order, from
     one scan of all graphs and one of the triangle-free graphs."""
     by_key = {}
@@ -478,31 +471,24 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[dict]:
          _expected_triangle_free_equality_classes),
     ):
         label = filt.label()
-        scanned, best, bad = _scan(order, filt)
+        records, bad = _scan(order, filt)
         inverted.update(bad)
         # the bound is monotone in phi, so every graph meets it exactly when
         # the maximum does
-        top = best["phi"]
+        top = records["phi"]
         report.expect(
-            within(top.value, order),
+            within(top.max_value, order),
             f"{check}-bound",
-            f"order {order}: {label} maximum phi={top.value} > {base}^(n/{root})",
-            graph6=serialize_mask(order, top.masks[0]),
+            f"order {order}: {label} maximum phi={top.max_value} > {base}^(n/{root})",
+            graph6=top.extremal_canonical[0],
         )
         expected = expected_classes(order)
-        for quantity, b in best.items():
-            rec = by_key[label, quantity] = {
-                "order": order,
-                "filter": label,
-                "quantity": quantity,
-                "max_value": b.value,
-                "extremal_graph6": b.classes(order),
-                "graphs_scanned": scanned,
-            }
+        for quantity, rec in records.items():
+            by_key[label, quantity] = rec
             if order % root == 0:
                 # the graphs attaining the bound are the maximum's witnesses
                 # when the maximum reaches it, and none otherwise
-                found = rec["extremal_graph6"] if b.value ** root == base ** order else []
+                found = list(rec.extremal_canonical) if rec.max_value ** root == base ** order else []
                 report.expect(
                     set(found) == expected,
                     f"{check}-equality-classes",
@@ -535,14 +521,14 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[dict]:
     if order == 8:
         found = by_key["all", "phi"]
         report.expect(
-            found["max_value"] == 36,
+            found.max_value == 36,
             "order8-maximum",
-            f"order 8 unrestricted maximum is {found['max_value']}, expected 36",
+            f"order 8 unrestricted maximum is {found.max_value}, expected 36",
         )
         report.expect(
-            set(found["extremal_graph6"]) == _expected_order8_classes(),
+            set(found.extremal_canonical) == _expected_order8_classes(),
             "order8-extremal-classes",
-            f"order 8 extremal classes {found['extremal_graph6']} differ from the "
+            f"order 8 extremal classes {list(found.extremal_canonical)} differ from the "
             f"two-block 4-clique family",
         )
     return list(by_key.values())
@@ -567,10 +553,11 @@ def verify_asymptotic_bounds(order_max: int = 6, *, seed: int = 0) -> Verificati
     _check_sweep_order(order_max)
     t0 = time.perf_counter()
     report = VerificationReport(suite="bounds")
-    records = []
-    for order in range(order_max + 1):
-        records.extend(_scan_bounds_order(order, report))
-    report.details["records"] = records
+    report.details["records"] = [
+        rec.to_json_dict()
+        for order in range(order_max + 1)
+        for rec in _scan_bounds_order(order, report)
+    ]
 
     rng = random.Random(seed)
     spot = 0

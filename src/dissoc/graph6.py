@@ -3,6 +3,8 @@
 A graph6 line is ``chr(n + 63)`` followed by the column-major upper-triangle
 adjacency bits x(0,1), x(0,2), x(1,2), x(0,3), ... packed six per byte, most
 significant bit first, zero-padded in the last byte, every byte offset by 63.
+A first byte of 126 (``~``) starts graph6's long form (n >= 63), which both
+directions reject with the same message.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ class Graph6Error(ValueError):
     """Malformed, truncated or over-long graph6 input."""
 
 
+def _check_short_form(order: int) -> None:
+    if order > GRAPH6_ORDER_CAP:
+        raise Graph6Error(f"short-form graph6 supports order <= {GRAPH6_ORDER_CAP}, got {order}")
+
+
 def serialize_graph6(g: Graph) -> str:
-    if g.order > GRAPH6_ORDER_CAP:
-        raise Graph6Error(
-            f"short-form graph6 supports order <= {GRAPH6_ORDER_CAP}, got {g.order}"
-        )
+    _check_short_form(g.order)
     out = [chr(g.order + 63)]
     group = 0
     nbits = 0
@@ -45,6 +49,7 @@ def parse_graph6(text: str | bytes) -> Graph:
         if not 63 <= c <= 126:
             raise Graph6Error(f"byte {c} at position {pos} outside the graph6 range 63..126")
     order = codes[0] - 63
+    _check_short_form(order)  # a leading "~" (order 63) is the long form
     nbits = order * (order - 1) // 2
     expect = (nbits + 5) // 6
     body = codes[1:]

@@ -4,11 +4,15 @@ A dissociation set is a vertex subset whose induced subgraph has maximum
 degree at most one.  One scan of all 2^n subsets tests each dissociation set
 for maximality by explicit single-vertex extension and tallies psi and phi'
 over all of them -- intentionally naive, so the fast enumerator has an
-independent referee.  Both hand their vertex bitmasks to DissociationFamily,
-which keeps them as masks in canonical order and decodes a set into its
-sorted member tuple only when asked.  `_members` decodes a mask below 2^32
-(every caller is capped at ENUMERATION_ORDER_CAP = 32) by four lookups in
-per-byte tables of member tuples, built once at import.
+independent referee.  Every scan runs under one wall-clock budget,
+ORACLE_TIME_LIMIT seconds, read at call time, and raises TimeLimitError past
+it rather than return a truncated answer.
+
+The oracle and the enumerator both hand their vertex bitmasks to
+DissociationFamily, which keeps them as masks in canonical order and decodes
+a set into its sorted member tuple only when asked.  `_members` decodes a
+mask below 2^32 (every caller is capped at ENUMERATION_ORDER_CAP = 32) by
+four lookups in per-byte tables of member tuples, built once at import.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .graphs import Graph, TimeLimitError, UnsupportedSizeError
 
 ORACLE_ORDER_CAP = 24
-DEFAULT_TIME_LIMIT = 60.0
+ORACLE_TIME_LIMIT = 60.0  # seconds per subset scan, read at call time
 
 _T = TypeVar("_T")
 
@@ -139,15 +143,17 @@ class DissociationFamily:
         return tuple(sorted(set(item))) in self.sets
 
 
-def _scan(g: Graph, time_limit: float) -> tuple[list[int], int, int]:
+def _scan(g: Graph) -> tuple[list[int], int, int]:
     """One pass over all 2^n subsets: the maximal dissociation sets as
     ascending bitmasks, the dissociation number psi, and phi', the number of
-    dissociation sets of size psi."""
+    dissociation sets of size psi.  Raises TimeLimitError once the scan has
+    run longer than ORACLE_TIME_LIMIT seconds, checked every 4096 subsets."""
     if g.order > ORACLE_ORDER_CAP:
         raise UnsupportedSizeError(
             f"brute-force oracle is capped at order {ORACLE_ORDER_CAP}, got {g.order}"
         )
     adj = g.adj
+    time_limit = ORACLE_TIME_LIMIT
     deadline = time.monotonic() + time_limit
     maximal = []
     psi = phi_max = 0
@@ -171,18 +177,16 @@ def _scan(g: Graph, time_limit: float) -> tuple[list[int], int, int]:
     return maximal, psi, phi_max
 
 
-def enumerate_maximal_bruteforce(
-    g: Graph, time_limit: float = DEFAULT_TIME_LIMIT
-) -> DissociationFamily:
+def enumerate_maximal_bruteforce(g: Graph) -> DissociationFamily:
     """Every maximal dissociation set of g, by scanning all 2^n subsets."""
-    return DissociationFamily.from_masks(g.order, _scan(g, time_limit)[0])
+    return DissociationFamily.from_masks(g.order, _scan(g)[0])
 
 
-def dissociation_number(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> int:
+def dissociation_number(g: Graph) -> int:
     """Largest size of a dissociation set of g."""
-    return _scan(g, time_limit)[1]
+    return _scan(g)[1]
 
 
-def count_maximum_bruteforce(g: Graph, time_limit: float = DEFAULT_TIME_LIMIT) -> int:
+def count_maximum_bruteforce(g: Graph) -> int:
     """Number of dissociation sets of maximum size."""
-    return _scan(g, time_limit)[2]
+    return _scan(g)[2]

@@ -88,6 +88,11 @@ def test_gen_bad_parameter_prints_no_graph(monkeypatch, capsys):
     assert (code, out, err) == (2, "", "error: path requires n >= 1, got 0\n")
 
 
+def test_gen_past_the_short_form_prints_one_error_line(monkeypatch, capsys):
+    code, out, err = run_cli(["gen", "path:3", "path:63"], monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: short-form graph6 supports order <= 62, got 63\n")
+
+
 # --- count / enumerate / max ----------------------------------------------
 
 def test_count_fixtures_from_stdin(monkeypatch, capsys):
@@ -153,6 +158,17 @@ def test_non_graph6_byte_is_a_line_error_naming_the_byte(source, tmp_path, monke
     code, out, err = run_cli(argv, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
     assert err == "line 2: byte 233 at position 0 outside the graph6 range 63..126\n"
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["C]", "Bw"]
+
+
+def test_long_form_line_is_a_line_error(monkeypatch, capsys):
+    # a leading "~" starts graph6's long form; this line is order 63 in it
+    stdin = "C]\n~??~" + "?" * 326 + "\nBw\n"
+    code, out, err = run_cli(
+        ["count", "--format", "csv"], stdin_text=stdin, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 1
+    assert err == "line 2: short-form graph6 supports order <= 62, got 63\n"
     assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["C]", "Bw"]
 
 
@@ -320,7 +336,40 @@ def test_max_reports_lexicographically_least(monkeypatch, capsys):
     assert doc["results"][0]["vertices"] == "0 1 3"
 
 
+def _csv_writer_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("command", ["count", "max"])
+def test_csv_output_equals_a_csv_writer_reference(command, monkeypatch, capsys):
+    # "?" is order 0: its maximum set is empty, so the vertices field is empty
+    stdin = "".join(f"{text}\n" for text in ("?", "@", "A_", "C]", "D~{", serialize_graph6(path_graph(9))))
+    _, out, _ = run_cli([command, "--format", "csv"], stdin_text=stdin,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    _, doc, _ = run_cli([command, "--format", "json"], stdin_text=stdin,
+                        monkeypatch=monkeypatch, capsys=capsys)
+    rows = json.loads(doc)["results"]
+    assert rows[0]["n"] == 0 and (command == "count" or rows[0]["vertices"] == "")
+    header = list(rows[0])
+    assert out == _csv_writer_text([header, *([r[c] for c in header] for r in rows)])
+
+
 # --- verify ----------------------------------------------------------------
+
+def test_verify_csv_equals_a_csv_writer_reference(monkeypatch, capsys):
+    code, out, _ = run_cli(
+        ["verify", "all", "--order-max", "3", "--t-max", "1", "--n-max", "6", "--trials", "2",
+         "--format", "csv"],
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["suite", "checks", "violations", "elapsed_ms"]
+    assert [r[0] for r in rows[1:]] == ["bounds", "families", "recurrences", "paths-cycles"]
+    assert out == _csv_writer_text(rows)
+
 
 def test_verify_paths_cycles_passes(monkeypatch, capsys):
     code, out, _ = run_cli(

@@ -264,12 +264,13 @@ def test_phi_max_records_never_exceed_phi_records():
 
 def test_sweep_json_shape():
     doc = sweep(4, SweepFilter(triangle_free=True)).to_json_dict()
-    assert set(doc) == {
-        "order", "filter", "quantity", "max_value", "extremal_graph6",
-        "graphs_scanned", "elapsed_ms", "violations",
-    }
-    assert doc["violations"] == []
+    assert list(doc) == [
+        "order", "filter", "quantity", "max_value", "extremal_graph6", "graphs_scanned",
+    ]
     assert doc["filter"] == "triangle-free"
+    # a sweep's record is the verify bounds record of the same scan
+    records = verify_asymptotic_bounds(order_max=4).details["records"]
+    assert doc in records
 
 
 def test_report_expect_records_violations():
@@ -390,7 +391,7 @@ def test_bounds_report_a_broken_bound_at_a_maximum(monkeypatch, patched, check, 
     monkeypatch.setattr(extremal, patched, lambda phi, order: False)
     report = _small_bounds(order_max=4)
     maxima = {
-        r["order"]: r["max_value"]
+        r["order"]: r
         for r in report.details["records"]
         if r["filter"] == label and r["quantity"] == "phi"
     }
@@ -398,7 +399,9 @@ def test_bounds_report_a_broken_bound_at_a_maximum(monkeypatch, patched, check, 
     assert len(found) == len(maxima) == 5
     for v in found:
         g = parse_graph6(v.graph6)
-        assert count(g).phi == maxima[g.order]
+        assert count(g).phi == maxima[g.order]["max_value"]
+        # the witness is one of the record's attaining classes
+        assert v.graph6 in maxima[g.order]["extremal_graph6"]
         assert label == "all" or is_triangle_free(g.order, g.adj)
 
 

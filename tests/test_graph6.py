@@ -91,6 +91,18 @@ def test_length_errors_say_whether_bytes_are_missing_or_extra():
     assert str(long.value) == "graph6 input too long: order 12 needs 11 data bytes, got 12"
 
 
+@pytest.mark.parametrize(
+    "text", ["~", "~" + "?" * 326, "~??~" + "?" * 326],
+    ids=["tilde-alone", "tilde-and-order-63-body", "long-form-order-63"],
+)
+def test_leading_tilde_is_the_long_form_and_rejected(text):
+    # "~" starts graph6's long form, whatever follows; "~" + 326 bytes would
+    # otherwise decode as an order-63 graph that serialize_graph6 refuses
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6(text)
+    assert str(exc.value) == "short-form graph6 supports order <= 62, got 63"
+
+
 def test_serialize_rejects_order_above_62():
     with pytest.raises(Graph6Error):
         serialize_graph6(Graph(63, (0,) * 63))

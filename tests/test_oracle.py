@@ -23,6 +23,7 @@ from dissoc import (
     is_maximal,
     path_graph,
 )
+from dissoc import oracle as oracle_module
 from dissoc.oracle import _members
 
 from strategies import graphs
@@ -153,10 +154,11 @@ def test_oracle_rejects_orders_beyond_cap():
             oracle(Graph(25, (0,) * 25))
 
 
-def test_oracle_time_guard_raises_instead_of_truncating():
+def test_oracle_time_guard_raises_instead_of_truncating(monkeypatch):
+    monkeypatch.setattr(oracle_module, "ORACLE_TIME_LIMIT", 0.0)
     for oracle in (enumerate_maximal_bruteforce, dissociation_number, count_maximum_bruteforce):
         with pytest.raises(TimeLimitError):
-            oracle(complete_graph(12), time_limit=0.0)
+            oracle(complete_graph(12))
 
 
 def test_oracle_agrees_with_the_enumerator_on_every_small_labeled_graph():

@@ -29,6 +29,12 @@ def test_verify_suites_take_only_the_options_a_caller_sets():
         assert list(inspect.signature(getattr(dissoc, name)).parameters) == params, name
 
 
+def test_oracle_functions_take_only_a_graph():
+    # the subset scan's budget is oracle.ORACLE_TIME_LIMIT, not an argument
+    for name in ("enumerate_maximal_bruteforce", "dissociation_number", "count_maximum_bruteforce"):
+        assert list(inspect.signature(getattr(dissoc, name)).parameters) == ["g"], name
+
+
 def test_sweep_runs_in_one_process():
     params = list(inspect.signature(dissoc.sweep).parameters)
     assert params == ["order", "filt", "quantity"]
