@@ -1,7 +1,8 @@
 """Canonical forms for tiny graphs by a least-labelling search.
 
 The canonical form of a graph is the graph6 string of its lexicographically
-least relabelling.  graph6 lists the upper triangle column by column, so
+least relabelling.  graph6 lists the upper triangle column by column, and
+graph6._columns packs those columns into the integers `_least` compares, so
 `_least` assigns the labels 0, 1, ... depth first and drops a partial labelling
 once one of its columns exceeds the least found so far.  Prefixes of a least
 labelling are least, so the same search, stopped when a labelling beats the
@@ -10,17 +11,17 @@ identity, is the canonicity test of the class generator (extremal._graphs).
 
 from __future__ import annotations
 
-from .graph6 import serialize_graph6
-from .graphs import Graph, UnsupportedSizeError, edge_index
+from .graph6 import _columns, _spell
+from .graphs import Graph, UnsupportedSizeError
 
 CANONICAL_ORDER_CAP = 8  # _least's cost grows with symmetry: C24 and 4C5 each take over 30 s
 
 
 def _least(order: int, adj: tuple[int, ...], stop_below: bool = False) -> tuple[list[int], int] | None:
     """(least columns, number of labellings attaining them = |Aut|), or None
-    under stop_below once a labelling beats the identity.  Column k packs the
-    pairs (i, k), i = 0 most significant, so integer order is string order."""
-    best = [sum((adj[k] >> i & 1) << (k - 1 - i) for i in range(k)) for k in range(order)]
+    under stop_below once a labelling beats the identity.  The columns are
+    graph6's (graph6._columns), so integer order is string order."""
+    best = _columns(order, adj)
     # (v w) is an automorphism exactly when N(v) - w = N(w) - v: one twin stands for all
     twins = [sum(1 << w for w in range(order) if adj[w] & ~(1 << v) == adj[v] & ~(1 << w))
              for v in range(order)]
@@ -67,10 +68,7 @@ def _least(order: int, adj: tuple[int, ...], stop_below: bool = False) -> tuple[
 def _canonical_graph6(g: Graph) -> str:
     """graph6 string of the lexicographically least relabelling of g, at any
     order: the caller answers for the search's cost on symmetric graphs."""
-    columns, _ = _least(g.order, g.adj)
-    mask = sum(1 << edge_index(i, k) for k, column in enumerate(columns)
-               for i in range(k) if column >> (k - 1 - i) & 1)
-    return serialize_graph6(Graph.from_edge_mask(g.order, mask))
+    return _spell(g.order, _least(g.order, g.adj)[0])
 
 
 def canonical_form(g: Graph) -> str:

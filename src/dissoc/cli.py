@@ -20,7 +20,7 @@ from .extremal import (
     verify_path_cycle_bounds,
     verify_recurrences,
 )
-from .graph6 import Graph6Error, parse_graph6, serialize_graph6
+from .graph6 import Graph6Error, _check_short_form, parse_graph6, serialize_graph6
 from .graphs import (
     ENUMERATION_ORDER_CAP,
     FamilySpecError,
@@ -56,7 +56,8 @@ _FAMILIES = {
 
 def parse_family_string(text: str) -> Graph:
     """Build the graph named in the gen grammar: path:N, cycle:N, complete:N,
-    kmn:M,N, kstar:M,I, union:(spec;spec;...).  Unions nest."""
+    kmn:M,N, kstar:M,I, union:(spec;spec;...).  Unions nest.  An order past
+    graph6's short form is refused before any graph of that order is built."""
     text = text.strip()
     if text.startswith("union:"):
         body = text[len("union:"):]
@@ -78,7 +79,9 @@ def parse_family_string(text: str) -> Graph:
         parts = [p for p in parts if p.strip()]
         if not parts:
             raise SpecGrammarError(f"union needs at least one member spec: {text!r}")
-        return disjoint_union(*(parse_family_string(p) for p in parts))
+        members = [parse_family_string(p) for p in parts]
+        _check_short_form(sum(g.order for g in members))
+        return disjoint_union(*members)
     if ":" not in text:
         raise SpecGrammarError(f"expected kind:params, got {text!r}")
     kind, _, params = text.partition(":")
@@ -93,40 +96,36 @@ def parse_family_string(text: str) -> Graph:
         raise SpecGrammarError(
             f"{kind} takes {arity} parameter(s), got {len(numbers)} in {text!r}"
         )
+    _check_short_form(sum(numbers) if kind == "kmn" else numbers[0])
     return builder(*numbers)
 
 
-_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
-
-
-def _read_graph_lines(source: str | None) -> list[tuple[int, str]]:
-    """(line number, text stripped of ASCII whitespace) for every nonempty
-    input line.  Only \\n, \\r\\n and \\r end a line; any other separator
-    str.splitlines() knows stays in its line and fails graph6 decoding there.
-    A file is decoded as stdin is, UTF-8 with undecodable bytes escaped, so no
-    byte aborts the read and `_parse_lines` recovers each line's exact bytes."""
+def _read_graph_lines(source: str | None) -> list[tuple[int, bytes]]:
+    """(line number, line stripped of ASCII whitespace) for every nonempty
+    input line, read as bytes so that no locale touches it.  Only \\n, \\r\\n
+    and \\r end a line; any other separator stays in its line and fails
+    graph6 decoding there."""
     if source is None or source == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-            text = fh.read()
-    raw = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return [(i + 1, line.strip(_ASCII_WHITESPACE))
-            for i, line in enumerate(raw) if line.strip(_ASCII_WHITESPACE)]
+        with open(source, "rb") as fh:
+            data = fh.read()
+    raw = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    return [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
 
 
 def _parse_lines(source: str | None) -> tuple[list[tuple[int, str, object]], list[dict]]:
     """Parse each input line; collect per-line errors without aborting."""
     parsed = []
     errors = []
-    for lineno, text in _read_graph_lines(source):
+    for lineno, line in _read_graph_lines(source):
         try:
-            g = parse_graph6(text.encode("utf-8", "surrogateescape"))
+            g = parse_graph6(line)
             check_enumeration_order(g.order)
         except (Graph6Error, UnsupportedSizeError) as exc:
             errors.append({"line": lineno, "error": str(exc)})
             continue
-        parsed.append((lineno, text, g))
+        parsed.append((lineno, line.decode("ascii"), g))  # graph6 bytes are ASCII
     return parsed, errors
 
 
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{ENUMERATION_ORDER_CAP}; each scan stops with an error past "
                         "its time budget)")
     p.add_argument("--t-max", type=_non_negative_int, default=3,
-                   help="largest block count for family tables (default 3)")
+                   help="largest block count for family tables (default 3, at most 5)")
     p.add_argument("--n-max", type=_non_negative_int, default=20,
                    help=f"largest path/cycle length (default 20, "
                         f"at most {ENUMERATION_ORDER_CAP})")

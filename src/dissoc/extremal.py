@@ -37,7 +37,6 @@ from .graphs import (
     complete_bipartite_graph,
     cycle_graph,
     disjoint_union,
-    edge_index,
     k_star_graph,
     path_graph,
 )
@@ -158,25 +157,24 @@ def random_bipartite_graph(rng: random.Random, order: int, p: float) -> Graph:
 # ---------------------------------------------------------------------------
 
 def _graphs(
-    order: int, filt: SweepFilter, j: int = 0, adj: tuple[int, ...] = (), mask: int = 0, aut: int = 1
-) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """Yield (edge mask, adjacency, |Aut|) for one graph per isomorphism class
-    of `order` that `filt` admits, namely its canonical labelling, among the
-    classes whose first j vertices induce the canonical graph (mask, adj).
+    order: int, filt: SweepFilter, j: int = 0, adj: tuple[int, ...] = (), aut: int = 1
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (adjacency, |Aut|) for one graph per isomorphism class of `order`
+    that `filt` admits, namely its canonical labelling, among the classes
+    whose first j vertices induce the canonical graph adj.
 
-    Vertex j joins with a lower neighbourhood s, a subset of 0..j-1; its edges
-    are the mask bits from edge_index(0, j) on, so s shifts in whole.  A child
-    is kept only when it is its own least labelling (Read's orderly
-    generation), so every class comes from one parent.  Both class filters
-    are hereditary, so every prefix is pruned; connectivity is decided at
-    full order.
+    Vertex j joins with a lower neighbourhood s, a subset of 0..j-1: the
+    edges of graph6's column j.  A child is kept only when it is its own
+    least labelling (Read's orderly generation), so every class comes from
+    one parent.  Both class filters are hereditary, so every prefix is
+    pruned; connectivity is decided at full order.  |Aut| is what the scan
+    needs to weigh a class by its order!/|Aut| labeled graphs.
     """
     if j == order:
         if not filt.connected_only or Graph(order, adj).is_connected():
-            yield mask, adj, aut
+            yield adj, aut
         return
     bit = 1 << j
-    shift = edge_index(0, j)
     # triangle-free and bipartite graphs need s independent; reach[s] holds
     # the vertices with a neighbour in s
     independent = filt.triangle_free or filt.bipartite
@@ -191,7 +189,7 @@ def _graphs(
             continue
         least = _least(j + 1, grown, stop_below=True)
         if least is not None:
-            yield from _graphs(order, filt, j + 1, grown, mask | s << shift, least[1])
+            yield from _graphs(order, filt, j + 1, grown, least[1])
 
 
 def _phi_pair(order: int, adj: Sequence[int]) -> tuple[int, int]:
@@ -202,16 +200,16 @@ def _phi_pair(order: int, adj: Sequence[int]) -> tuple[int, int]:
 
 @dataclass
 class _Best:
-    """Running maximum of one quantity and the edge masks attaining it."""
+    """Running maximum of one quantity and the adjacencies attaining it."""
 
     value: int = -1
-    masks: list[int] = field(default_factory=list)
+    adjs: list[tuple[int, ...]] = field(default_factory=list)
 
-    def add(self, value: int, mask: int) -> None:
+    def add(self, value: int, adj: tuple[int, ...]) -> None:
         if value > self.value:
-            self.value, self.masks = value, [mask]
+            self.value, self.adjs = value, [adj]
         elif value == self.value:
-            self.masks.append(mask)
+            self.adjs.append(adj)
 
 
 @dataclass(frozen=True)
@@ -244,10 +242,10 @@ class ExtremalRecord:
         }
 
 
-def _scan(order: int, filt: SweepFilter) -> tuple[dict[str, ExtremalRecord], list[int]]:
+def _scan(order: int, filt: SweepFilter) -> tuple[dict[str, ExtremalRecord], list[str]]:
     """Scan every isomorphism class of `order` that `filt` admits: returns
-    the records of phi and phi', keyed by quantity, and the canonical edge
-    masks of the classes with phi' > phi.  Every witness is already its
+    the records of phi and phi', keyed by quantity, and the canonical graph6
+    strings of the classes with phi' > phi.  Every witness is already its
     class's canonical labelling.  Raises TimeLimitError once the scan has run
     longer than SWEEP_TIME_LIMIT seconds, checked before each class."""
     limit = SWEEP_TIME_LIMIT
@@ -255,21 +253,22 @@ def _scan(order: int, filt: SweepFilter) -> tuple[dict[str, ExtremalRecord], lis
     scanned = 0
     best = {"phi": _Best(), "phi_max": _Best()}
     inverted = []
-    for mask, adj, aut in _graphs(order, filt):
+    for adj, aut in _graphs(order, filt):
         if time.monotonic() - start > limit:
             raise TimeLimitError(
                 f"order-{order} sweep of {filt.label()} graphs exceeded its {limit:.1f}s budget"
             )
         scanned += factorial(order) // aut  # labeled graphs in the class
         phi, phi_max = _phi_pair(order, adj)
-        best["phi"].add(phi, mask)
-        best["phi_max"].add(phi_max, mask)
+        best["phi"].add(phi, adj)
+        best["phi_max"].add(phi_max, adj)
         if phi_max > phi:
-            inverted.append(mask)
+            inverted.append(serialize_graph6(Graph(order, adj)))
     elapsed_ms = (time.monotonic() - start) * 1000.0
     records = {
         q: ExtremalRecord(order, filt, q, b.value,
-                          tuple(sorted(serialize_mask(order, m) for m in b.masks)), scanned, elapsed_ms)
+                          tuple(sorted(serialize_graph6(Graph(order, adj)) for adj in b.adjs)),
+                          scanned, elapsed_ms)
         for q, b in best.items()
     }
     return records, inverted
@@ -397,7 +396,10 @@ def _family_rows(max_t: int) -> list[tuple[str, int, Graph, int, bool]]:
 
 
 def verify_family_values(max_t: int = 3) -> VerificationReport:
-    """Check the closed-form counts of the extremal families for t = 1..max_t."""
+    """Check the closed-form counts of the extremal families for t = 1..max_t.
+    The largest row, K4* + max_t K5*, has 5 max_t + 4 vertices, so a max_t
+    past 5 raises UnsupportedSizeError before any row is built."""
+    check_enumeration_order(5 * max_t + 4)
     t0 = time.perf_counter()
     report = VerificationReport(suite="families")
     table = []
@@ -463,7 +465,7 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[ExtremalR
     """Bound checks, equality classes and extremal records at one order, from
     one scan of all graphs and one of the triangle-free graphs."""
     by_key = {}
-    inverted: set[int] = set()
+    inverted: set[str] = set()
     for filt, within, check, base, root, expected_classes in (
         (SweepFilter(), _within_general_bound, "general", 10, 5,
          _expected_general_equality_classes),
@@ -500,17 +502,12 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[ExtremalR
     # class that breaks it, or one passing check
     if not inverted:
         report.expect(True, "phi-max-le-phi", f"order {order}: phi' <= phi")
-    for mask in sorted(inverted):
-        report.expect(
-            False,
-            "phi-max-le-phi",
-            f"order {order}: phi' > phi",
-            graph6=serialize_mask(order, mask),
-        )
+    for g6 in sorted(inverted):
+        report.expect(False, "phi-max-le-phi", f"order {order}: phi' > phi", graph6=g6)
 
     stray = sum(
         not is_triangle_free(order, adj)
-        for _, adj, _ in _graphs(order, SweepFilter(bipartite=True))
+        for adj, _ in _graphs(order, SweepFilter(bipartite=True))
     )
     report.expect(
         not stray,
@@ -532,10 +529,6 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[ExtremalR
             f"two-block 4-clique family",
         )
     return list(by_key.values())
-
-
-def serialize_mask(order: int, mask: int) -> str:
-    return serialize_graph6(Graph.from_edge_mask(order, mask))
 
 
 def verify_asymptotic_bounds(order_max: int = 6, *, seed: int = 0) -> VerificationReport:

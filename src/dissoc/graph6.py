@@ -3,13 +3,16 @@
 A graph6 line is ``chr(n + 63)`` followed by the column-major upper-triangle
 adjacency bits x(0,1), x(0,2), x(1,2), x(0,3), ... packed six per byte, most
 significant bit first, zero-padded in the last byte, every byte offset by 63.
-A first byte of 126 (``~``) starts graph6's long form (n >= 63), which both
-directions reject with the same message.
+Column k packs the pairs (i, k), i = 0 most significant, so the data bits are
+the columns concatenated and comparing column lists compares graph6 strings;
+canonical._least searches over these columns.  `_spell` is the one writer of
+data bytes.  A first byte of 126 (``~``) starts graph6's long form (n >= 63),
+which both directions reject with the same message.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, edge_pairs
+from .graphs import Graph
 
 GRAPH6_ORDER_CAP = 62
 
@@ -23,21 +26,26 @@ def _check_short_form(order: int) -> None:
         raise Graph6Error(f"short-form graph6 supports order <= {GRAPH6_ORDER_CAP}, got {order}")
 
 
+def _columns(order: int, adj: tuple[int, ...]) -> list[int]:
+    """graph6's columns of adj: column k packs the pairs (i, k), i = 0 most
+    significant."""
+    return [sum((adj[k] >> i & 1) << (k - 1 - i) for i in range(k)) for k in range(order)]
+
+
+def _spell(order: int, columns: list[int]) -> str:
+    """The graph6 line of an `order`-vertex graph given by its columns."""
+    _check_short_form(order)
+    bits = 0
+    for k, column in enumerate(columns):
+        bits = bits << k | column
+    nbits = order * (order - 1) // 2
+    end = nbits + -nbits % 6  # zero bits fill the last byte
+    bits <<= end - nbits
+    return chr(order + 63) + "".join(chr((bits >> b & 63) + 63) for b in range(end - 6, -1, -6))
+
+
 def serialize_graph6(g: Graph) -> str:
-    _check_short_form(g.order)
-    out = [chr(g.order + 63)]
-    group = 0
-    nbits = 0
-    for i, j in edge_pairs(g.order):
-        group = (group << 1) | ((g.adj[i] >> j) & 1)
-        nbits += 1
-        if nbits == 6:
-            out.append(chr(group + 63))
-            group = 0
-            nbits = 0
-    if nbits:
-        out.append(chr((group << (6 - nbits)) + 63))
-    return "".join(out)
+    return _spell(g.order, _columns(g.order, g.adj))
 
 
 def parse_graph6(text: str | bytes) -> Graph:
@@ -62,12 +70,5 @@ def parse_graph6(text: str | bytes) -> Graph:
     pad = expect * 6 - nbits
     if bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits in final graph6 byte")
-    bits >>= pad
-    adj = [0] * order
-    pairs = edge_pairs(order)
-    for k in range(nbits):
-        if (bits >> (nbits - 1 - k)) & 1:
-            i, j = pairs[k]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(order, tuple(adj))
+    # an edge mask holds pair k at bit k: read the data bits last pair first
+    return Graph.from_edge_mask(order, int(f"{bits >> pad:0{nbits}b}"[::-1], 2))

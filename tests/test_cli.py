@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -23,13 +24,15 @@ from dissoc import (
     path_graph,
     serialize_graph6,
 )
-from dissoc import extremal
+from dissoc import cli, extremal
 from dissoc.cli import _T0, _T1, _T2, _T3, main, parse_family_string, SpecGrammarError
 from dissoc.oracle import _members
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    """Run main with stdin_text as stdin: bytes as they are, str as UTF-8."""
+    data = stdin_text.encode() if isinstance(stdin_text, str) else stdin_text
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -93,6 +96,28 @@ def test_gen_past_the_short_form_prints_one_error_line(monkeypatch, capsys):
     assert (code, out, err) == (2, "", "error: short-form graph6 supports order <= 62, got 63\n")
 
 
+def _unbuildable(*args):
+    raise AssertionError("a graph past graph6's short form was built")
+
+
+def test_gen_refuses_a_large_order_before_building(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_FAMILIES", {
+        kind: (arity, _unbuildable) for kind, (arity, _) in cli._FAMILIES.items()
+    })
+    for spec, order in (("complete:100000", 100000), ("kmn:40,30", 70)):
+        assert run_cli(["gen", spec], monkeypatch=monkeypatch, capsys=capsys) == (
+            2, "", f"error: short-form graph6 supports order <= 62, got {order}\n"
+        )
+
+
+def test_gen_refuses_a_large_union_before_joining(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "disjoint_union", _unbuildable)
+    code, out, err = run_cli(
+        ["gen", "union:(path:40;cycle:20;path:3)"], monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert (code, out, err) == (2, "", "error: short-form graph6 supports order <= 62, got 63\n")
+
+
 # --- count / enumerate / max ----------------------------------------------
 
 def test_count_fixtures_from_stdin(monkeypatch, capsys):
@@ -153,12 +178,22 @@ def test_non_graph6_byte_is_a_line_error_naming_the_byte(source, tmp_path, monke
         path.write_bytes(data)
         argv, stdin_text = ["count", str(path), "--format", "csv"], ""
     else:
-        # the interpreter's stdin decodes an undecodable byte to a lone surrogate
-        argv, stdin_text = ["count", "--format", "csv"], data.decode("utf-8", "surrogateescape")
+        argv, stdin_text = ["count", "--format", "csv"], data
     code, out, err = run_cli(argv, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
     assert err == "line 2: byte 233 at position 0 outside the graph6 range 63..126\n"
     assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["C]", "Bw"]
+
+
+def test_stdin_bytes_do_not_depend_on_the_locale():
+    # a latin-1 stdin would decode \xe9 to U+00E9, which re-encodes as UTF-8
+    # bytes 195 169: the line error must name the byte as read
+    proc = subprocess.run(
+        [sys.executable, "-m", "dissoc.cli", "count", "--format", "csv"],
+        input=b"\xe9A\n", capture_output=True, env={**os.environ, "PYTHONIOENCODING": "latin-1"},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b"line 1: byte 233 at position 0 outside the graph6 range 63..126\n"
 
 
 def test_long_form_line_is_a_line_error(monkeypatch, capsys):
@@ -196,7 +231,7 @@ def test_only_line_ends_split_lines(source, tmp_path, monkeypatch, capsys):
         path.write_bytes(data)
         argv, stdin_text = ["count", str(path), "--format", "csv"], ""
     else:
-        argv, stdin_text = ["count", "--format", "csv"], data.decode("utf-8", "surrogateescape")
+        argv, stdin_text = ["count", "--format", "csv"], data
     code, out, err = run_cli(argv, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
     assert err == (
@@ -428,6 +463,26 @@ def test_verify_bounds_over_budget_prints_one_error_line(monkeypatch, capsys):
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: order-") and line.endswith("exceeded its 0.5s budget")
+
+
+def test_verify_families_rejects_a_block_count_past_the_cap_before_building(monkeypatch, capsys):
+    # the largest row at t = 6 is K4* + 6 K5*, 34 vertices
+    monkeypatch.setattr(extremal, "_family_rows", _unbuildable)
+    code, out, err = run_cli(
+        ["verify", "families", "--t-max", "6"], monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert (code, out, err) == (2, "", "error: order 34 exceeds the enumeration cap of 32\n")
+
+
+def test_verify_families_runs_at_the_largest_block_count(monkeypatch, capsys):
+    code, out, _ = run_cli(
+        ["verify", "families", "--t-max", "5", "--format", "json"],
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 0
+    [suite] = json.loads(out)["suites"]
+    assert (suite["checks"], suite["violations"]) == (1565, [])
+    assert max(row["n"] for row in suite["details"]["table"]) == 29
 
 
 def test_verify_bounds_rejects_orders_beyond_the_enumeration_cap(monkeypatch, capsys):
