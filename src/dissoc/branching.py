@@ -127,12 +127,13 @@ class CountResult:
 
 
 def _component_families(g: Graph) -> list[list[int]]:
-    """The maximal dissociation sets of each connected component of g.
+    """The maximal dissociation sets of each connected component of g, in
+    search order: count needs no order, and enumerate_maximal's family sorts.
 
     A maximal set of g is exactly a union of one maximal set per component,
     so callers combine the parts instead of searching g as a whole.
     """
-    return [maximal_masks(g.order, g.adj, comp) for comp in g.components()]
+    return [candidate_masks(g.order, g.adj, comp) for comp in g.components()]
 
 
 def enumerate_maximal(g: Graph) -> DissociationFamily:

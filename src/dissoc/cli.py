@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 from .branching import count, enumerate_maximal, maximum_dissociation_set
 from .extremal import (
@@ -129,40 +130,74 @@ def _parse_lines(source: str | None) -> tuple[list[tuple[int, str, object]], lis
     return parsed, errors
 
 
-def _print_table(rows: list[dict], columns: Sequence[str]) -> None:
+# Strings joined into one stdout write.  Without batching, an unbuffered
+# stdout (PYTHONUNBUFFERED, python -u) makes a system call of every row.
+_BATCH = 4096
+
+
+class _Batches:
+    """Stdout text as a stream of strings, written _BATCH strings at a time,
+    however stdout is buffered.  At most one batch is held.  sys.stdout is
+    looked up at each write, so redirected and captured streams receive it."""
+
+    def __init__(self) -> None:
+        self.pending: list[str] = []
+
+    def add(self, pieces: Iterable[str]) -> None:
+        it = iter(pieces)
+        while True:
+            self.pending.extend(islice(it, _BATCH - len(self.pending)))
+            if len(self.pending) < _BATCH:
+                return
+            self.flush()
+
+    def flush(self) -> None:
+        if self.pending:
+            sys.stdout.write("".join(self.pending))
+            self.pending = []
+
+
+def _write(pieces: Iterable[str]) -> None:
+    out = _Batches()
+    out.add(pieces)
+    out.flush()
+
+
+def _json_text(doc: dict) -> Iterator[str]:
+    """The text of json.dump(doc, indent=2) and a newline, piece by piece."""
+    return chain(json.JSONEncoder(indent=2).iterencode(doc), ("\n",))
+
+
+def _table(rows: list[dict], columns: Sequence[str]) -> Iterator[str]:
     widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c) for c in columns}
-    print("  ".join(c.ljust(widths[c]) for c in columns))
+    yield "  ".join(c.ljust(widths[c]) for c in columns) + "\n"
     for r in rows:
-        print("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns))
+        yield "  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns) + "\n"
 
 
-def _print_csv(rows: list[dict], columns: Sequence[str]) -> None:
+def _csv(rows: list[dict], columns: Sequence[str]) -> Iterator[str]:
     # No field needs quoting: graph6 text is bytes 63..126, and every other
     # field is a number, a suite name or a space-separated vertex list.
-    print(",".join(columns))
-    sys.stdout.writelines(",".join(str(r[c]) for c in columns) + "\n" for r in rows)
+    yield ",".join(columns) + "\n"
+    for r in rows:
+        yield ",".join(str(r[c]) for c in columns) + "\n"
 
 
-def _emit_json_or_errors(fmt: str, command: str, rows: list[dict], errors: list[dict]) -> bool:
-    """Write the whole JSON document and return True for --format json;
-    otherwise report the per-line errors on stderr and return False, leaving
-    stdout to the caller's csv or table layout."""
-    if fmt == "json":
-        json.dump({"command": command, "results": rows, "errors": errors}, sys.stdout, indent=2)
-        print()
-        return True
+def _json_results(command: str, rows: list[dict], errors: list[dict]) -> None:
+    _write(_json_text({"command": command, "results": rows, "errors": errors}))
+
+
+def _line_errors(errors: list[dict]) -> None:
     for err in errors:
         print(f"line {err['line']}: {err['error']}", file=sys.stderr)
-    return False
 
 
 def _emit_rows(fmt: str, command: str, rows: list[dict], columns: Sequence[str], errors: list[dict]) -> None:
-    if _emit_json_or_errors(fmt, command, rows, errors):
-        return
-    if fmt == "csv":
-        _print_csv(rows, columns)
+    if fmt == "json":
+        _json_results(command, rows, errors)
     else:
-        _print_table(rows, columns)
+        _line_errors(errors)
+        _write((_csv if fmt == "csv" else _table)(rows, columns))
 
 
 def _cmd_count(args) -> int:
@@ -176,45 +211,56 @@ def _cmd_count(args) -> int:
 _T0, _T1, _T2, _T3 = _byte_tables("", lambda v, rest: f"{v} {rest}")
 
 
+# One formatted string per row, straight from the mask: the four byte tables'
+# texts minus the last space.  As in _csv, no csv field needs quoting.
+
+def _csv_sets(r: dict) -> Iterator[str]:
+    g6 = r["graph6"]
+    t0, t1, t2, t3 = _T0, _T1, _T2, _T3
+    return (f"{g6},{k},{m.bit_count()},"
+            f"{(t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16 & 255] + t3[m >> 24])[:-1]}\n"
+            for k, m in enumerate(r["sets"]))
+
+
+def _table_sets(r: dict) -> Iterator[str]:
+    t0, t1, t2, t3 = _T0, _T1, _T2, _T3
+    yield f"{r['graph6']}  n={r['n']}  phi={r['phi']}\n"
+    yield from (f"  {(t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16 & 255] + t3[m >> 24])[:-1]}\n"
+                for m in r["sets"])
+    if r["truncated"]:
+        yield f"  ... truncated, showing {len(r['sets'])} of {r['phi']}\n"
+
+
 def _cmd_enumerate(args) -> int:
     parsed, errors = _parse_lines(args.input)
     limit = args.limit
-    results = []
-    for _, text, g in parsed:
-        masks = enumerate_maximal(g).masks
-        truncated = limit is not None and len(masks) > limit
-        results.append(
-            {"graph6": text, "n": g.order, "phi": len(masks),
-             "truncated": truncated, "sets": masks[:limit] if truncated else masks}
-        )
+
+    def families() -> Iterator[dict]:
+        for _, text, g in parsed:
+            masks = enumerate_maximal(g).masks
+            truncated = limit is not None and len(masks) > limit
+            yield {"graph6": text, "n": g.order, "phi": len(masks),
+                   "truncated": truncated, "sets": masks[:limit] if truncated else masks}
+
     if args.format == "json":
-        for r in results:
-            r["sets"] = list(map(_members, r["sets"]))
-    if not _emit_json_or_errors(args.format, "enumerate", results, errors):
-        # One formatted string per row, straight from the mask: the four byte
-        # tables' texts minus the last space.  As in _print_csv, no csv field
-        # needs quoting.
-        out = sys.stdout
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        if args.format == "csv":
-            out.write("graph6,set_index,size,vertices\n")
-            for r in results:
-                g6 = r["graph6"]
-                out.writelines(
-                    f"{g6},{k},{m.bit_count()},"
-                    f"{(t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16 & 255] + t3[m >> 24])[:-1]}\n"
-                    for k, m in enumerate(r["sets"]))
-                if r["truncated"]:
-                    print(f"{g6}: truncated at {len(r['sets'])} of {r['phi']} sets",
-                          file=sys.stderr)
-        else:
-            for r in results:
-                print(f"{r['graph6']}  n={r['n']}  phi={r['phi']}")
-                out.writelines(
-                    f"  {(t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16 & 255] + t3[m >> 24])[:-1]}\n"
-                    for m in r["sets"])
-                if r["truncated"]:
-                    print(f"  ... truncated, showing {len(r['sets'])} of {r['phi']}")
+        _json_results("enumerate", [{**r, "sets": list(map(_members, r["sets"]))}
+                                    for r in families()], errors)
+        return 1 if errors else 0
+    # csv and table rows are written as each family is found, so only one
+    # family is held at a time
+    _line_errors(errors)
+    out = _Batches()
+    if args.format == "csv":
+        out.add(("graph6,set_index,size,vertices\n",))
+    rows = _csv_sets if args.format == "csv" else _table_sets
+    for r in families():
+        out.add(rows(r))
+        if r["truncated"] and args.format == "csv":
+            # the stderr notice follows the graph's rows
+            out.flush()
+            print(f"{r['graph6']}: truncated at {len(r['sets'])} of {r['phi']} sets",
+                  file=sys.stderr)
+    out.flush()
     return 1 if errors else 0
 
 
@@ -233,10 +279,18 @@ def _cmd_max(args) -> int:
 
 def _cmd_gen(args) -> int:
     # build every graph before printing, so a bad spec prints none
-    lines = [serialize_graph6(parse_family_string(text)) for text in args.spec]
-    for line in lines:
-        print(line)
+    lines = [serialize_graph6(parse_family_string(text)) + "\n" for text in args.spec]
+    _write(lines)
     return 0
+
+
+def _verify_table(reports: list) -> Iterator[str]:
+    for r in reports:
+        status = "pass" if r.passed else "FAIL"
+        yield (f"{r.suite}: {status} ({r.checks} checks, "
+               f"{len(r.violations)} violations, {r.elapsed_ms:.0f} ms)\n")
+        for v in r.violations:
+            yield f"  {v.check}: {v.detail}" + (f" [{v.graph6}]" if v.graph6 else "") + "\n"
 
 
 def _cmd_verify(args) -> int:
@@ -260,24 +314,18 @@ def _cmd_verify(args) -> int:
             "violations_total": total_violations,
             "passed": total_violations == 0,
         }
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+        _write(_json_text(doc))
     elif args.format == "csv":
-        _print_csv(
+        _write(_csv(
             [{"suite": r.suite, "checks": r.checks, "violations": len(r.violations),
               "elapsed_ms": f"{r.elapsed_ms:.1f}"} for r in reports],
             ("suite", "checks", "violations", "elapsed_ms"),
-        )
+        ))
         for r in reports:
             for v in r.violations:
                 print(f"{r.suite}: {v.check}: {v.detail}", file=sys.stderr)
     else:
-        for r in reports:
-            status = "pass" if r.passed else "FAIL"
-            print(f"{r.suite}: {status} ({r.checks} checks, "
-                  f"{len(r.violations)} violations, {r.elapsed_ms:.0f} ms)")
-            for v in r.violations:
-                print(f"  {v.check}: {v.detail}" + (f" [{v.graph6}]" if v.graph6 else ""))
+        _write(_verify_table(reports))
     return 0 if total_violations == 0 else 1
 
 

@@ -29,17 +29,6 @@ class FamilySpecError(ValueError):
     """Family parameters violate a construction constraint."""
 
 
-def edge_index(i: int, j: int) -> int:
-    """Position of the pair {i, j} (i < j) in column-major upper-triangle order.
-
-    The ordering is (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ... -- the same
-    bit order the graph6 format uses.
-    """
-    if i > j:
-        i, j = j, i
-    return j * (j - 1) // 2 + i
-
-
 def edge_pairs(order: int) -> list[tuple[int, int]]:
     """All vertex pairs of an `order`-vertex graph in column-major order."""
     return [(i, j) for j in range(1, order) for i in range(j)]
@@ -89,14 +78,16 @@ class Graph:
         nbits = order * (order - 1) // 2
         if mask >> nbits:
             raise ValueError(f"edge mask has bits beyond the {nbits} vertex pairs")
-        pairs = edge_pairs(order)
         adj = [0] * order
-        while mask:
-            k = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            i, j = pairs[k]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+        for k in range(1, order):
+            # the pairs (i, k), i < k, are k bits from k(k-1)/2 on, i ascending
+            low = mask >> k * (k - 1) // 2 & ((1 << k) - 1)
+            adj[k] = low
+            kb = 1 << k
+            while low:
+                ib = low & -low
+                low ^= ib
+                adj[ib.bit_length() - 1] |= kb
         return cls(order, tuple(adj))
 
     def edge_mask(self) -> int:

@@ -6,7 +6,14 @@ from itertools import permutations
 from typing import Iterable
 
 from dissoc import Graph, SweepFilter, is_bipartite
-from dissoc.graphs import edge_index
+
+
+def edge_index(i: int, j: int) -> int:
+    """Position of the pair {i, j} in column-major upper-triangle order,
+    (0,1), (0,2), (1,2), (0,3), ...: graph6's bit order and the edge-mask bit."""
+    if i > j:
+        i, j = j, i
+    return j * (j - 1) // 2 + i
 
 
 def labeled_graphs(order: int, filt: SweepFilter, j: int = 0, adj: tuple = (), mask: int = 0):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -491,6 +492,100 @@ def test_verify_bounds_rejects_orders_beyond_the_enumeration_cap(monkeypatch, ca
     )
     assert code == 2
     assert err == "error: order 33 exceeds the enumeration cap of 32\n"
+
+
+# --- output batching ---------------------------------------------------------
+
+# a malformed line, graphs with more than three sets, and one with none cut
+BATCH_INPUT = "\n".join([serialize_graph6(complete_graph(5)), "!!",
+                         serialize_graph6(path_graph(12)), "@"]) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--format", "json"],
+    ["max", "--format", "json"],
+    ["enumerate", "--format", "csv"],
+    ["enumerate", "--format", "table", "--limit", "3"],
+    ["gen", "path:1", "kstar:5,2", "union:(cycle:4;cycle:4)"],
+    ["verify", "families", "--format", "json"],
+])
+def test_output_bytes_do_not_depend_on_an_unbuffered_stdout(argv):
+    def run(unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.run([sys.executable, "-m", "dissoc.cli", *argv],
+                              input=BATCH_INPUT.encode(), capture_output=True, env=env)
+        # verify reports its own run time
+        out = re.sub(rb'"elapsed_ms": [0-9.]+', b'"elapsed_ms": 0', proc.stdout)
+        return proc.returncode, out, proc.stderr
+
+    unbuffered = run(True)
+    assert unbuffered[1]
+    assert unbuffered == run(False)
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv, lines, writes", [
+    (["enumerate", "--format", "csv"], 10_001, 3),
+    (["count", "--format", "json"], 13, 1),
+])
+def test_stdout_is_written_in_batches(argv, lines, writes, monkeypatch):
+    g6 = serialize_graph6(parse_family_string(
+        "union:(complete:5;complete:5;complete:5;complete:5)"))
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(g6.encode() + b"\n")))
+    assert main(argv) == 0
+    assert len(out.getvalue().splitlines()) == lines
+    assert out.writes == writes
+
+
+def test_truncation_notice_follows_its_rows(monkeypatch):
+    events = []
+
+    class Recorder(io.StringIO):
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def write(self, text):
+            events.append((self.name, text))
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder("out"))
+    monkeypatch.setattr(sys, "stderr", Recorder("err"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(BATCH_INPUT.encode())))
+    assert main(["enumerate", "--format", "csv", "--limit", "3"]) == 1
+    text = "".join(f"<{name}>{t}" for name, t in events)
+    k5, p12 = serialize_graph6(complete_graph(5)), serialize_graph6(path_graph(12))
+    assert text.index(f"{k5},2,") < text.index(f"<err>{k5}: truncated at 3 of 10 sets")
+    assert text.index(f"<err>{k5}: truncated") < text.index(f"{p12},0,")
+    assert text.index(f"{p12},2,") < text.index(f"<err>{p12}: truncated at 3 of 46 sets")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--format", "json"],
+    ["enumerate", "--format", "json"],
+    ["verify", "families", "--format", "json"],
+])
+def test_json_text_is_json_dumps_with_indent_2(argv, monkeypatch, capsys):
+    _, out, _ = run_cli(argv, stdin_text=BATCH_INPUT, monkeypatch=monkeypatch, capsys=capsys)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_pieces_spell_json_dumps():
+    doc = {"a": [1, 2.5, None, True, {"b": "é\n", "c": []}], "d": {}, "e": -0.0}
+    assert "".join(cli._json_text(doc)) == json.dumps(doc, indent=2) + "\n"
 
 
 # --- pipeline composition ---------------------------------------------------
