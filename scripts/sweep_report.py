@@ -6,8 +6,8 @@ Usage:
                                    [--quantity phi|phi_max]
 
 Sweeps visit one graph per isomorphism class; "scanned" counts the labeled
-graphs those classes stand for.  Order 8 takes seconds and order 9 minutes;
-each sweep stops with an error past the time budget
+graphs those classes stand for.  Order 8 takes seconds and order 9 about
+2.5 min; each sweep stops with an error past the time budget
 dissoc.extremal.SWEEP_TIME_LIMIT.  Attaining graphs are printed as canonical
 graph6 strings.  A malformed --orders value is a usage error, and an
 oversized or over-budget sweep prints one `error:` line; both exit with

@@ -4,9 +4,12 @@ The canonical form of a graph is the graph6 string of its lexicographically
 least relabelling.  graph6 lists the upper triangle column by column, and
 graph6._columns packs those columns into the integers `_least` compares, so
 `_least` assigns the labels 0, 1, ... depth first and drops a partial labelling
-once one of its columns exceeds the least found so far.  Prefixes of a least
-labelling are least, so the same search, stopped when a labelling beats the
-identity, is the canonicity test of the class generator (extremal._graphs).
+once one of its columns exceeds the least found so far; of twins, vertices whose
+swap is an automorphism (`_twins`, found by grouping equal open or closed
+neighbourhoods), it tries one.  Prefixes of a least labelling are least, so the
+same search, stopped when a labelling beats the identity, is the canonicity
+test of the class generator (extremal._graphs), which first rejects most
+children by two relabellings it checks without a search.
 """
 
 from __future__ import annotations
@@ -17,14 +20,24 @@ from .graphs import Graph, UnsupportedSizeError
 CANONICAL_ORDER_CAP = 8  # _least's cost grows with symmetry: C24 and 4C5 each take over 30 s
 
 
+def _twins(adj: tuple[int, ...]) -> list[int]:
+    """twins[v]: the vertices w (v included) for which the swap (v w) is an
+    automorphism, that is N(v) - w = N(w) - v.  Non-adjacent twins share
+    their open neighbourhood and adjacent twins their closed one."""
+    opened: dict[int, int] = {}
+    closed: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        opened[row] = opened.get(row, 0) | 1 << v
+        closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
+    return [opened[row] | closed[row | 1 << v] for v, row in enumerate(adj)]
+
+
 def _least(order: int, adj: tuple[int, ...], stop_below: bool = False) -> tuple[list[int], int] | None:
     """(least columns, number of labellings attaining them = |Aut|), or None
     under stop_below once a labelling beats the identity.  The columns are
     graph6's (graph6._columns), so integer order is string order."""
     best = _columns(order, adj)
-    # (v w) is an automorphism exactly when N(v) - w = N(w) - v: one twin stands for all
-    twins = [sum(1 << w for w in range(order) if adj[w] & ~(1 << v) == adj[v] & ~(1 << w))
-             for v in range(order)]
+    twins = _twins(adj)  # one twin stands for all
     count = 0
 
     def search(k: int, cells: list[tuple[int, int]], weight: int) -> bool:

@@ -28,7 +28,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .branching import _pivot_partition, count, maximal_masks
-from .canonical import _canonical_graph6, _least
+from .canonical import _canonical_graph6, _least, _twins
 from .graph6 import serialize_graph6
 from .graphs import (
     Graph,
@@ -117,15 +117,6 @@ class SweepFilter:
     bipartite: bool = False
     connected_only: bool = False
 
-    def admits(self, order: int, adj: Sequence[int]) -> bool:
-        if self.triangle_free and not is_triangle_free(order, adj):
-            return False
-        if self.bipartite and not is_bipartite(order, adj):
-            return False
-        if self.connected_only and not Graph(order, tuple(adj)).is_connected():
-            return False
-        return True
-
     def label(self) -> str:
         parts = []
         if self.triangle_free:
@@ -166,9 +157,12 @@ def _graphs(
     Vertex j joins with a lower neighbourhood s, a subset of 0..j-1: the
     edges of graph6's column j.  A child is kept only when it is its own
     least labelling (Read's orderly generation), so every class comes from
-    one parent.  Both class filters are hereditary, so every prefix is
-    pruned; connectivity is decided at full order.  |Aut| is what the scan
-    needs to weigh a class by its order!/|Aut| labeled graphs.
+    one parent.  Two relabellings that must not beat the child are checked
+    first, without a search: swapping j-1 and j, and swapping twins of the
+    prefix.  Most children fail one of them, and only the rest go to
+    `_least`.  Both class filters are hereditary, so every prefix is pruned;
+    connectivity is decided at full order.  |Aut| is what the scan needs to
+    weigh a class by its order!/|Aut| labeled graphs.
     """
     if j == order:
         if not filt.connected_only or Graph(order, adj).is_connected():
@@ -181,8 +175,19 @@ def _graphs(
     reach = [0]
     for i in range(j if independent else 0):
         reach += [r | adj[i] for r in reach]
+    # swapping j-1 and j keeps columns 0..j-2 and makes column j-1 the part of
+    # s below j-1, which beats col, adj[j-1]'s part there, when the least
+    # vertex where the two differ lies in col (vertex 0 is a column's top bit)
+    low = (bit >> 1) - 1
+    col = adj[-1] & low if j else 0
+    # swapping prefix twins v < w keeps columns 0..j-1 and lessens column j
+    # when s holds v but not w; pairs holds v's bit with its twins above v
+    pairs = [(1 << v, t & -(2 << v)) for v, t in enumerate(_twins(adj)) if t >> v + 1]
     for s in range(1 << j):
         if independent and reach[s] & s:
+            continue
+        d = (s & low) ^ col
+        if col & d & -d or any(s & v and w & ~s for v, w in pairs):
             continue
         grown = tuple(row | bit if s >> i & 1 else row for i, row in enumerate(adj)) + (s,)
         if filt.bipartite and not is_bipartite(j + 1, grown):

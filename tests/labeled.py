@@ -1,11 +1,12 @@
-"""Labeled-graph oracles: for the class generator, the walk over every
-labeled graph by vertex addition and the relabellings of one graph; for the
-in-place searches on a vertex mask, G - S built as a new relabelled graph."""
+"""Labeled-graph oracles: for the class generator, the class predicate of a
+labeled graph, the walk over every labeled graph by vertex addition and the
+relabellings of one graph; for the in-place searches on a vertex mask, G - S
+built as a new relabelled graph."""
 
 from itertools import permutations
 from typing import Iterable
 
-from dissoc import Graph, SweepFilter, is_bipartite
+from dissoc import Graph, SweepFilter, is_bipartite, is_triangle_free
 
 
 def edge_index(i: int, j: int) -> int:
@@ -14,6 +15,17 @@ def edge_index(i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return j * (j - 1) // 2 + i
+
+
+def admits(filt: SweepFilter, order: int, adj) -> bool:
+    """Whether one labeled graph lies in the class `filt` names."""
+    if filt.triangle_free and not is_triangle_free(order, adj):
+        return False
+    if filt.bipartite and not is_bipartite(order, adj):
+        return False
+    if filt.connected_only and not Graph(order, tuple(adj)).is_connected():
+        return False
+    return True
 
 
 def labeled_graphs(order: int, filt: SweepFilter, j: int = 0, adj: tuple = (), mask: int = 0):

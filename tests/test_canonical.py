@@ -18,7 +18,7 @@ from dissoc import (
     parse_graph6,
     serialize_graph6,
 )
-from dissoc.canonical import _least
+from dissoc.canonical import _least, _twins
 
 from labeled import relabellings
 from strategies import graphs
@@ -84,6 +84,17 @@ def test_least_counts_the_automorphisms():
 @given(graphs(min_order=6, max_order=7))
 def test_least_counts_the_automorphisms_of_larger_graphs(g):
     _check_least_counts_automorphisms(g)
+
+
+@settings(deadline=None)
+@given(graphs(max_order=8))
+def test_twins_are_the_swaps_that_are_automorphisms(g):
+    edges = {frozenset(e) for e in g.edges()}
+    for v, twins in enumerate(_twins(g.adj)):
+        for w in range(g.order):
+            swap = {v: w, w: v}
+            swapped = {frozenset(swap.get(x, x) for x in e) for e in edges}
+            assert (twins >> w & 1) == (swapped == edges)
 
 
 def test_null_graph_canonical_form():

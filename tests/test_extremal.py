@@ -47,7 +47,7 @@ from dissoc.extremal import (
     _within_triangle_free_bound,
 )
 
-from labeled import labeled_graphs as _graphs, relabellings
+from labeled import admits, labeled_graphs as _graphs, relabellings
 from strategies import graphs
 
 FILTERS = {
@@ -92,7 +92,7 @@ def test_generator_yields_exactly_the_admitted_graphs(name):
         expected = [
             mask
             for mask in range(1 << (order * (order - 1) // 2))
-            if filt.admits(order, Graph.from_edge_mask(order, mask).adj)
+            if admits(filt, order, Graph.from_edge_mask(order, mask).adj)
         ]
         assert sorted(masks) == expected
 
@@ -118,9 +118,9 @@ def test_generator_counts_the_labeled_classes(name):
 # A024607 (whose n = 0 term, the null graph, counts as connected here)
 CLASS_COUNTS = {
     "all": (1, 1, 2, 4, 11, 34, 156, 1044),
-    "connected": (1, 1, 1, 2, 6, 21, 112, 853),
-    "triangle-free": (1, 1, 2, 3, 7, 14, 38, 107, 410),
-    "triangle-free+connected": (1, 1, 1, 1, 3, 6, 19, 59, 267),
+    "connected": (1, 1, 1, 2, 6, 21, 112, 853, 11117),
+    "triangle-free": (1, 1, 2, 3, 7, 14, 38, 107, 410, 1897),
+    "triangle-free+connected": (1, 1, 1, 1, 3, 6, 19, 59, 267, 1380),
 }
 
 
@@ -134,6 +134,24 @@ def test_class_generator_counts_the_isomorphism_classes(label):
         for order in range(len(CLASS_COUNTS[label]))
     )
     assert got == CLASS_COUNTS[label]
+
+
+@pytest.mark.parametrize("name", ["all", "connected"])
+def test_class_generator_rejects_most_children_before_searching(name, monkeypatch):
+    """Each class of order 1..7 is accepted by one least-labelling search, and
+    the relabelling tests leave no more rejecting searches than that (the
+    searches alone would reject 10,039 children)."""
+    calls = {"accepted": 0, "rejected": 0}
+
+    def counted(*args, **kwargs):
+        least = _least(*args, **kwargs)
+        calls["rejected" if least is None else "accepted"] += 1
+        return least
+
+    monkeypatch.setattr(extremal, "_least", counted)
+    assert sum(1 for _ in extremal._graphs(7, FILTERS[name])) == CLASS_COUNTS[name][7]
+    assert calls["accepted"] == sum(CLASS_COUNTS["all"][1:8]) == 1252
+    assert calls["rejected"] <= 1252
 
 
 def _labeled_count(name, order):
@@ -458,7 +476,7 @@ def test_random_bipartite_graph_is_bipartite():
 def test_sweep_filter_admits_matches_predicates(g):
     filt = SweepFilter(triangle_free=True, bipartite=True)
     expected = is_triangle_free(g.order, g.adj) and is_bipartite(g.order, g.adj)
-    assert filt.admits(g.order, g.adj) == expected
+    assert admits(filt, g.order, g.adj) == expected
 
 
 @pytest.mark.parametrize("args, message", [
