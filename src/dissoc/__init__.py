@@ -13,7 +13,7 @@ from .branching import (
     maximal_masks,
     maximum_dissociation_set,
 )
-from .canonical import CANONICAL_ORDER_CAP, canonical_form
+from .canonical import canonical_form
 from .extremal import (
     ExtremalRecord,
     SweepFilter,
@@ -56,7 +56,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CANONICAL_ORDER_CAP",
     "CountResult",
     "DissociationFamily",
     "ENUMERATION_ORDER_CAP",

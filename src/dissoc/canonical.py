@@ -1,4 +1,4 @@
-"""Canonical forms for tiny graphs by a least-labelling search.
+"""Canonical forms by a least-labelling search, under a time budget.
 
 The canonical form of a graph is the graph6 string of its lexicographically
 least relabelling.  graph6 lists the upper triangle column by column, and
@@ -9,15 +9,18 @@ swap is an automorphism (`_twins`, found by grouping equal open or closed
 neighbourhoods), it tries one.  Prefixes of a least labelling are least, so the
 same search, stopped when a labelling beats the identity, is the canonicity
 test of the class generator (extremal._graphs), which first rejects most
-children by two relabellings it checks without a search.
+children by two relabellings it checks without a search.  Every search runs
+under CANONICAL_TIME_LIMIT seconds and raises TimeLimitError past it.
 """
 
 from __future__ import annotations
 
-from .graph6 import _columns, _spell
-from .graphs import Graph, UnsupportedSizeError
+import time
 
-CANONICAL_ORDER_CAP = 8  # _least's cost grows with symmetry: C24 and 4C5 each take over 30 s
+from .graph6 import _columns, _spell
+from .graphs import Graph, TimeLimitError
+
+CANONICAL_TIME_LIMIT = 60.0  # seconds per least-labelling search, read at call time
 
 
 def _twins(adj: tuple[int, ...]) -> list[int]:
@@ -35,16 +38,19 @@ def _twins(adj: tuple[int, ...]) -> list[int]:
 def _least(order: int, adj: tuple[int, ...], stop_below: bool = False) -> tuple[list[int], int] | None:
     """(least columns, number of labellings attaining them = |Aut|), or None
     under stop_below once a labelling beats the identity.  The columns are
-    graph6's (graph6._columns), so integer order is string order."""
+    graph6's (graph6._columns), so integer order is string order.  Raises
+    TimeLimitError past CANONICAL_TIME_LIMIT s, checked every 1024 extending nodes."""
+    limit = CANONICAL_TIME_LIMIT
+    deadline = time.monotonic() + limit
     best = _columns(order, adj)
     twins = _twins(adj)  # one twin stands for all
-    count = 0
+    count = nodes = 0
 
     def search(k: int, cells: list[tuple[int, int]], weight: int) -> bool:
         # cells group the unlabelled vertices by their next column, least
         # first; labelling w splits each cell into its non-neighbours (bit 0)
         # and neighbours (bit 1) of w
-        nonlocal count
+        nonlocal count, nodes
         if k == order:
             count += weight
             return True
@@ -58,6 +64,9 @@ def _least(order: int, adj: tuple[int, ...], stop_below: bool = False) -> tuple[
             # the later columns are open (1 << order exceeds every column)
             best[k:] = [code] + [1 << order] * (order - k - 1)
             count = 0
+        nodes += 1
+        if not nodes & 1023 and time.monotonic() > deadline:
+            raise TimeLimitError(f"order-{order} canonical labelling exceeded its {limit:.1f}s budget")
         while first:
             w = (first & -first).bit_length() - 1
             same = first & twins[w]
@@ -78,14 +87,9 @@ def _least(order: int, adj: tuple[int, ...], stop_below: bool = False) -> tuple[
     return best, count
 
 
-def _canonical_graph6(g: Graph) -> str:
-    """graph6 string of the lexicographically least relabelling of g, at any
-    order: the caller answers for the search's cost on symmetric graphs."""
-    return _spell(g.order, _least(g.order, g.adj)[0])
-
-
 def canonical_form(g: Graph) -> str:
-    """graph6 string of the lexicographically least relabelling of g."""
-    if g.order > CANONICAL_ORDER_CAP:
-        raise UnsupportedSizeError(f"canonical_form is capped at order {CANONICAL_ORDER_CAP}, got {g.order}")
-    return _canonical_graph6(g)
+    """graph6 string of the lexicographically least relabelling of g.  The
+    cost grows with symmetry, not order (K20 takes about 0.1 ms, C16 seconds);
+    raises TimeLimitError past CANONICAL_TIME_LIMIT and Graph6Error past
+    order 62."""
+    return _spell(g.order, _least(g.order, g.adj)[0])

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .branching import count, enumerate_maximal, maximum_dissociation_set
 from .extremal import (
@@ -329,11 +329,13 @@ def _cmd_verify(args) -> int:
     return 0 if total_violations == 0 else 1
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[formatted],
                        help="list every maximal dissociation set per input graph")
     p.add_argument("input", nargs="?", default="-", help="graph6 file, or - for stdin")
-    p.add_argument("--limit", type=_non_negative_int, default=None,
+    p.add_argument("--limit", type=_at_least(0), default=None,
                    help="truncate listings after this many sets")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -377,16 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[formatted], help="run a verification suite")
     p.add_argument("suite", choices=VERIFY_SUITES)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument("--order-max", type=_non_negative_int, default=6,
+    p.add_argument("--order-max", type=_at_least(0), default=6,
                    help="largest order for exhaustive bound sweeps (default 6, at most "
                         f"{ENUMERATION_ORDER_CAP}; each scan stops with an error past "
                         "its time budget)")
-    p.add_argument("--t-max", type=_non_negative_int, default=3,
+    p.add_argument("--t-max", type=_at_least(1), default=3,
                    help="largest block count for family tables (default 3, at most 5)")
-    p.add_argument("--n-max", type=_non_negative_int, default=20,
+    p.add_argument("--n-max", type=_at_least(1), default=20,
                    help=f"largest path/cycle length (default 20, "
                         f"at most {ENUMERATION_ORDER_CAP})")
-    p.add_argument("--trials", type=_non_negative_int, default=200,
+    p.add_argument("--trials", type=_at_least(0), default=200,
                    help="random graphs for the recurrence suite (default 200)")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -28,7 +28,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .branching import _pivot_partition, count, maximal_masks
-from .canonical import _canonical_graph6, _least, _twins
+from .canonical import _least, _twins, canonical_form
 from .graph6 import serialize_graph6
 from .graphs import (
     Graph,
@@ -279,9 +279,10 @@ def _scan(order: int, filt: SweepFilter) -> tuple[dict[str, ExtremalRecord], lis
     return records, inverted
 
 
-def _check_sweep_order(order: int) -> None:
-    if order < 0:
-        raise ValueError(f"order must be at least 0, got {order}")
+def _check_size(name: str, value: int, low: int, order: int) -> None:
+    """Refuse a size below `low` and an order past the enumeration cap."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
     check_enumeration_order(order)
 
 
@@ -297,7 +298,7 @@ def sweep(order: int, filt: SweepFilter = SweepFilter(), quantity: str = "phi") 
     """
     if quantity not in ("phi", "phi_max"):
         raise ValueError(f"quantity must be 'phi' or 'phi_max', got {quantity!r}")
-    _check_sweep_order(order)
+    _check_size("order", order, 0, order)
     return _scan(order, filt)[0][quantity]
 
 
@@ -401,10 +402,10 @@ def _family_rows(max_t: int) -> list[tuple[str, int, Graph, int, bool]]:
 
 
 def verify_family_values(max_t: int = 3) -> VerificationReport:
-    """Check the closed-form counts of the extremal families for t = 1..max_t.
-    The largest row, K4* + max_t K5*, has 5 max_t + 4 vertices, so a max_t
-    past 5 raises UnsupportedSizeError before any row is built."""
-    check_enumeration_order(5 * max_t + 4)
+    """Check the closed-form counts of the extremal families for t = 1..max_t,
+    max_t >= 1.  The largest row, K4* + max_t K5*, has 5 max_t + 4 vertices,
+    so a max_t past 5 raises UnsupportedSizeError before any row is built."""
+    _check_size("max_t", max_t, 1, 5 * max_t + 4)
     t0 = time.perf_counter()
     report = VerificationReport(suite="families")
     table = []
@@ -444,7 +445,7 @@ def _canonical_kstar_unions(m: int, t: int, variants: Sequence[int] = range(3)) 
     """Canonical forms of the disjoint unions of t copies of K_m minus a
     matching, one per multiset of matching sizes drawn from `variants`."""
     return {
-        _canonical_graph6(disjoint_union(*(k_star_graph(m, i) for i in combo)))
+        canonical_form(disjoint_union(*(k_star_graph(m, i) for i in combo)))
         for combo in combinations_with_replacement(variants, t)
     }
 
@@ -461,9 +462,11 @@ def _expected_triangle_free_equality_classes(order: int) -> set[str]:
     return set() if order % 4 else _canonical_kstar_unions(4, order // 4, variants=(2,))
 
 
-def _expected_order8_classes() -> set[str]:
-    """The order-8 maximum's classes: two 4-cliques, each minus a matching."""
-    return _canonical_kstar_unions(4, 2)
+# max phi over all and over triangle-free graphs of order 0..9, by exhaustive sweeps
+_PINNED_MAXIMA = {
+    "all": (1, 1, 1, 3, 6, 10, 15, 21, 36, 60),
+    "triangle-free": (1, 1, 1, 3, 6, 8, 11, 18, 36, 48),
+}
 
 
 def _scan_bounds_order(order: int, report: VerificationReport) -> list[ExtremalRecord]:
@@ -489,6 +492,10 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[ExtremalR
             f"order {order}: {label} maximum phi={top.max_value} > {base}^(n/{root})",
             graph6=top.extremal_canonical[0],
         )
+        for pinned in _PINNED_MAXIMA[label][order:order + 1]:  # none past order 9
+            report.expect(top.max_value == pinned, "pinned-maximum",
+                          f"order {order}: {label} maximum phi={top.max_value}, expected {pinned}",
+                          graph6=top.extremal_canonical[0])
         expected = expected_classes(order)
         for quantity, rec in records.items():
             by_key[label, quantity] = rec
@@ -519,27 +526,14 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[ExtremalR
         "filter-soundness",
         f"order {order}: {stray} bipartite classes flagged as having triangles",
     )
-
-    if order == 8:
-        found = by_key["all", "phi"]
-        report.expect(
-            found.max_value == 36,
-            "order8-maximum",
-            f"order 8 unrestricted maximum is {found.max_value}, expected 36",
-        )
-        report.expect(
-            set(found.extremal_canonical) == _expected_order8_classes(),
-            "order8-extremal-classes",
-            f"order 8 extremal classes {list(found.extremal_canonical)} differ from the "
-            f"two-block 4-clique family",
-        )
     return list(by_key.values())
 
 
 def verify_asymptotic_bounds(order_max: int = 6, *, seed: int = 0) -> VerificationReport:
     """Check phi <= 10^(n/5) and, for triangle-free graphs, phi <= 6^(n/4)
     on every labeled graph up to order_max, with equality exactly on the
-    characterized families; phi' is held to the same bounds and to phi' <= phi.
+    characterized families; phi' is held to the same bounds and to phi' <= phi,
+    and the maximum phi at each order up to 9 to its pinned value.
     On top of the exhaustive range, 30 seeded random graphs at each order
     8..14 and 200 random bipartite graphs of order 12 are spot-checked.
 
@@ -548,7 +542,7 @@ def verify_asymptotic_bounds(order_max: int = 6, *, seed: int = 0) -> Verificati
     Each scan runs under SWEEP_TIME_LIMIT seconds and raises TimeLimitError
     past it, returning no report.
     """
-    _check_sweep_order(order_max)
+    _check_size("order", order_max, 0, order_max)
     t0 = time.perf_counter()
     report = VerificationReport(suite="bounds")
     report.details["records"] = [
@@ -737,8 +731,8 @@ def verify_recurrences(pivot_trials: int = 200, seed: int = 0) -> VerificationRe
 
 def verify_path_cycle_bounds(n_max: int = 20) -> VerificationReport:
     """phi(P_n) < 0.81 * 6^(n/4) for n up to n_max, and phi(C_n) <= 6^(n/4)
-    with equality exactly at n = 4."""
-    check_enumeration_order(n_max)
+    with equality exactly at n = 4.  An n_max below 1 raises ValueError."""
+    _check_size("n_max", n_max, 1, n_max)
     t0 = time.perf_counter()
     report = VerificationReport(suite="paths-cycles")
     paths = []

@@ -1,6 +1,7 @@
-"""Canonical forms: equality exactly for isomorphic graphs of order <= 8, and the
-least-labelling search behind them."""
+"""Canonical forms: equality exactly for isomorphic graphs at any order, the
+least-labelling search behind them, and its time budget."""
 
+import time
 from itertools import combinations
 
 import pytest
@@ -9,15 +10,17 @@ from hypothesis import strategies as st
 
 from dissoc import (
     Graph,
-    UnsupportedSizeError,
+    TimeLimitError,
     canonical_form,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     k_star_graph,
     parse_graph6,
     serialize_graph6,
 )
+from dissoc import canonical
 from dissoc.canonical import _least, _twins
 
 from labeled import relabellings
@@ -41,9 +44,25 @@ def test_k5_minus_any_single_edge_is_one_class():
         assert canonical_form(g) == reference
 
 
-def test_rejects_order_above_8():
-    with pytest.raises(UnsupportedSizeError):
-        canonical_form(complete_graph(9))
+def test_labels_past_order_8():
+    for n in (9, 20):
+        assert canonical_form(complete_graph(n)) == serialize_graph6(complete_graph(n))
+    # 2K5 and 3C4, with |Aut| = 2 * 5!^2 and 3! * 8^3
+    for g, aut in ((disjoint_union(complete_graph(5), complete_graph(5)), 28800),
+                   (disjoint_union(*[cycle_graph(4)] * 3), 3072)):
+        rep = parse_graph6(canonical_form(g))
+        assert rep.order == g.order
+        assert _least(rep.order, rep.adj, stop_below=True) == (_least(g.order, g.adj)[0], aut)
+
+
+def test_search_past_its_budget_raises_time_limit_error(monkeypatch):
+    monkeypatch.setattr(canonical, "CANONICAL_TIME_LIMIT", 0.0)
+    t0 = time.monotonic()
+    with pytest.raises(TimeLimitError, match=r"order-16 canonical labelling exceeded its 0\.0s budget"):
+        canonical_form(cycle_graph(16))
+    assert time.monotonic() - t0 < 1.0
+    # a search of fewer than 1024 extending nodes ends before any clock check
+    assert canonical_form(cycle_graph(4)) == "C]"
 
 
 # the canonical strings of every class of order 4 and 5 (A000088: 11 and 34)
@@ -102,7 +121,7 @@ def test_null_graph_canonical_form():
 
 
 @settings(deadline=None)
-@given(graphs(max_order=7), st.randoms(use_true_random=False))
+@given(graphs(max_order=10), st.randoms(use_true_random=False))
 def test_permutation_invariance(g, rnd):
     perm = list(range(g.order))
     rnd.shuffle(perm)

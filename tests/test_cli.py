@@ -447,12 +447,26 @@ def test_options_belong_to_the_subcommands_that_read_them(argv, monkeypatch, cap
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", ["--order-max", "--t-max", "--n-max", "--trials"])
+LEAST_SIZES = {"--order-max": 0, "--t-max": 1, "--n-max": 1, "--trials": 0}
+
+
+@pytest.mark.parametrize("option", sorted(LEAST_SIZES))
 def test_verify_refuses_negative_sizes(option, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "all", option, "-2"], monkeypatch=monkeypatch, capsys=capsys)
     assert exc.value.code == 2
-    assert f"argument {option}: must be at least 0, got -2" in capsys.readouterr().err
+    low = LEAST_SIZES[option]
+    assert f"argument {option}: must be at least {low}, got -2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, option", [("families", "--t-max"), ("paths-cycles", "--n-max")])
+def test_verify_refuses_a_size_that_checks_nothing(suite, option, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", suite, option, "0"], monkeypatch=monkeypatch, capsys=capsys)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be at least 1, got 0" in captured.err
 
 
 def test_verify_bounds_over_budget_prints_one_error_line(monkeypatch, capsys):

@@ -36,12 +36,11 @@ from dissoc import (
     verify_recurrences,
 )
 from dissoc import extremal
-from dissoc.canonical import _canonical_graph6, _least
+from dissoc.canonical import _least
 from dissoc.extremal import (
     VerificationReport,
     _below_path_bound,
     _expected_general_equality_classes,
-    _expected_order8_classes,
     _expected_triangle_free_equality_classes,
     _within_general_bound,
     _within_triangle_free_bound,
@@ -324,6 +323,14 @@ def test_path_cycle_bounds_small():
     assert paths[3] == 3
 
 
+@pytest.mark.parametrize("suite, size", [(verify_family_values, "max_t"),
+                                         (verify_path_cycle_bounds, "n_max")])
+def test_suites_refuse_a_size_that_checks_nothing(suite, size):
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"{size} must be at least 1, got {value}"):
+            suite(value)
+
+
 def test_path_cycle_bounds_stop_at_the_enumeration_cap():
     with pytest.raises(UnsupportedSizeError):
         verify_path_cycle_bounds(n_max=33)
@@ -358,14 +365,10 @@ def test_expected_equality_classes_are_pinned_through_order_8():
     for order, (general, triangle_free) in EXPECTED_CLASSES.items():
         assert _expected_general_equality_classes(order) == general
         assert _expected_triangle_free_equality_classes(order) == triangle_free
-    assert _expected_order8_classes() == {
-        "G?KuE?", "G?KuEC", "G?K}EC", "G@K}E?", "G@K}EC", "GJ]CKK"}
 
 
-def test_expected_equality_classes_pass_canonical_form_cap():
+def test_expected_equality_classes_past_order_8():
     # the six unions of two K5 minus a matching, and 3C4, are labelled past order 8
-    with pytest.raises(UnsupportedSizeError):
-        canonical_form(complete_graph(9))
     general = _expected_general_equality_classes(10)
     triangle_free = _expected_triangle_free_equality_classes(12)
     assert (len(general), len(triangle_free)) == (6, 1)
@@ -373,6 +376,15 @@ def test_expected_equality_classes_pass_canonical_form_cap():
         g = parse_graph6(text)
         assert _least(g.order, g.adj, stop_below=True) is not None  # its own least labelling
     assert {parse_graph6(text).order for text in general} == {10}
+
+
+def test_bounds_check_the_pinned_maxima(monkeypatch):
+    table = extremal._PINNED_MAXIMA["all"]
+    monkeypatch.setitem(extremal._PINNED_MAXIMA, "all", table[:5] + (11,) + table[6:])
+    report = _small_bounds()
+    assert [(v.check, v.detail) for v in report.violations] == [
+        ("pinned-maximum", "order 5: all maximum phi=10, expected 11")]
+    assert report.violations[0].graph6 in _expected_general_equality_classes(5)
 
 
 def test_bounds_over_budget_raises_time_limit_error(monkeypatch):
@@ -444,14 +456,15 @@ def test_bounds_report_every_graph_with_phi_max_above_phi(monkeypatch):
 
 
 def test_sweep_makes_no_canonical_form_calls(monkeypatch):
-    # extremal labels graphs only through the helper behind canonical_form
+    # the generator's classes are canonical already: only the bound suite's
+    # expected equality classes are labelled
     calls = []
 
     def counted(g):
         calls.append(g)
-        return _canonical_graph6(g)
+        return canonical_form(g)
 
-    monkeypatch.setattr(extremal, "_canonical_graph6", counted)
+    monkeypatch.setattr(extremal, "canonical_form", counted)
     for filt in FILTERS.values():
         for order in range(7):
             sweep(order, filt)

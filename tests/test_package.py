@@ -14,7 +14,8 @@ def test_every_exported_name_resolves_once():
 
 def test_removed_layers_stay_removed():
     for name in ("FamilySpec", "build", "PivotPartition", "classify_by_pivot",
-                 "BoundConstants", "BOUNDS", "SweepRefusedError", "OracleTimeoutError"):
+                 "BoundConstants", "BOUNDS", "SweepRefusedError", "OracleTimeoutError",
+                 "CANONICAL_ORDER_CAP"):
         assert not hasattr(dissoc, name), name
 
 
