@@ -14,8 +14,7 @@ or deduplication follows the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graphs import Graph, check_enumeration_order
 from .oracle import DissociationFamily, _members
@@ -116,8 +115,7 @@ def maximal_masks(order: int, adj: Sequence[int], within: int | None = None) -> 
     return sorted(candidate_masks(order, adj, within))
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     phi: int          # number of maximal dissociation sets
     phi_max: int      # number of maximum dissociation sets
     psi: int          # dissociation number (size of a maximum set)

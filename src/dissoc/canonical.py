@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 
-from .graph6 import _columns, _spell
+from .graph6 import _check_short_form, _columns, _spell
 from .graphs import Graph, TimeLimitError
 
 CANONICAL_TIME_LIMIT = 60.0  # seconds per least-labelling search, read at call time
@@ -90,6 +90,7 @@ def _least(order: int, adj: tuple[int, ...], stop_below: bool = False) -> tuple[
 def canonical_form(g: Graph) -> str:
     """graph6 string of the lexicographically least relabelling of g.  The
     cost grows with symmetry, not order (K20 takes about 0.1 ms, C16 seconds);
-    raises TimeLimitError past CANONICAL_TIME_LIMIT and Graph6Error past
-    order 62."""
+    raises TimeLimitError past CANONICAL_TIME_LIMIT, and Graph6Error past
+    order 62 before any search."""
+    _check_short_form(g.order)
     return _spell(g.order, _least(g.order, g.adj)[0])

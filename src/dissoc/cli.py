@@ -4,23 +4,20 @@ Graphs travel as graph6 lines (stdin or file, one per line).  Output is a
 human table, a single JSON document, or CSV with a fixed header.  Bad input
 lines are reported with their line number and skipped; the exit status is
 zero exactly when no errors and no verification violations occurred.
+
+A command loads only what it runs: `extremal` (and with it `canonical`) is
+imported by the first lookup of a verify suite, through this module's
+`__getattr__`, and `json` when a command writes JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .branching import count, enumerate_maximal, maximum_dissociation_set
-from .extremal import (
-    verify_asymptotic_bounds,
-    verify_family_values,
-    verify_path_cycle_bounds,
-    verify_recurrences,
-)
 from .graph6 import Graph6Error, _check_short_form, parse_graph6, serialize_graph6
 from .graphs import (
     ENUMERATION_ORDER_CAP,
@@ -39,6 +36,16 @@ from .graphs import (
 from .oracle import _byte_tables, _members
 
 VERIFY_SUITES = ("bounds", "families", "recurrences", "paths-cycles", "all")
+
+
+def __getattr__(name: str) -> object:
+    """The verify_* suites of extremal, imported on first lookup and then
+    cached here, so only `dissoc verify` loads extremal."""
+    if not name.startswith("verify_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import extremal
+    value = globals()[name] = getattr(extremal, name)
+    return value
 
 
 class SpecGrammarError(ValueError):
@@ -165,6 +172,7 @@ def _write(pieces: Iterable[str]) -> None:
 
 def _json_text(doc: dict) -> Iterator[str]:
     """The text of json.dump(doc, indent=2) and a newline, piece by piece."""
+    import json
     return chain(json.JSONEncoder(indent=2).iterencode(doc), ("\n",))
 
 
@@ -295,16 +303,18 @@ def _verify_table(reports: list) -> Iterator[str]:
 
 def _cmd_verify(args) -> int:
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
+    # each suite is looked up on the module, so a rebound cli.verify_* runs
+    cli = sys.modules[__name__]
     reports = []
     for suite in suites:
         if suite == "bounds":
-            reports.append(verify_asymptotic_bounds(order_max=args.order_max, seed=args.seed))
+            reports.append(cli.verify_asymptotic_bounds(order_max=args.order_max, seed=args.seed))
         elif suite == "families":
-            reports.append(verify_family_values(max_t=args.t_max))
+            reports.append(cli.verify_family_values(max_t=args.t_max))
         elif suite == "recurrences":
-            reports.append(verify_recurrences(pivot_trials=args.trials, seed=args.seed))
+            reports.append(cli.verify_recurrences(pivot_trials=args.trials, seed=args.seed))
         elif suite == "paths-cycles":
-            reports.append(verify_path_cycle_bounds(n_max=args.n_max))
+            reports.append(cli.verify_path_cycle_bounds(n_max=args.n_max))
 
     total_violations = sum(len(r.violations) for r in reports)
     if args.format == "json":

@@ -10,7 +10,6 @@ short form can express (order <= 62).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -34,12 +33,53 @@ def edge_pairs(order: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, order) for i in range(j)]
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple undirected graph with bitmask adjacency rows."""
+class _Frozen:
+    """Base of the package's immutable value types, in place of a frozen
+    dataclass (importing dataclasses also imports inspect, ast, dis and
+    tokenize).  A subclass names its fields in _fields and sets each once, in
+    __init__, through object.__setattr__.  Two objects of one class are equal,
+    and hash alike, when their fields are; repr and pickling go by the fields."""
 
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Graph(_Frozen):
+    """Immutable simple undirected graph with bitmask adjacency rows.  Every
+    construction runs the validation hook __post_init__."""
+
+    __slots__ = _fields = ("order", "adj")
     order: int
     adj: tuple[int, ...]
+
+    def __init__(self, order: int, adj: tuple[int, ...]) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "adj", adj)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.order

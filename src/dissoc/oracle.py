@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import and_, lshift, or_
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .graphs import Graph, TimeLimitError, UnsupportedSizeError
+from .graphs import Graph, TimeLimitError, UnsupportedSizeError, _Frozen
 
 ORACLE_ORDER_CAP = 24
 ORACLE_TIME_LIMIT = 60.0  # seconds per subset scan, read at call time
@@ -107,16 +106,20 @@ def is_maximal(g: Graph, f: Iterable[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DissociationFamily:
+class DissociationFamily(_Frozen):
     """All maximal dissociation sets of one graph, deduplicated and in
     canonical order: by size, then lexicographically by sorted member list.
     Each set is held as a vertex bitmask below 2^32; iteration and `sets`
     decode the masks into sorted member tuples by table lookup (`_members`).
     Equality and hashing compare the order and the mask tuple."""
 
+    _fields = ("source_order", "masks")
     source_order: int
     masks: tuple[int, ...]
+
+    def __init__(self, source_order: int, masks: tuple[int, ...]) -> None:
+        object.__setattr__(self, "source_order", source_order)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def from_masks(cls, order: int, masks: Iterable[int]) -> "DissociationFamily":

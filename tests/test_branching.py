@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissoc import (
+    CountResult,
     Graph,
     UnsupportedSizeError,
     complete_bipartite_graph,
@@ -73,11 +74,19 @@ def test_equivalence_on_random_graphs():
         (complete_bipartite_graph(3, 3), 11, 3, 2),
         (cycle_graph(4), 6, 2, 6),
         (path_graph(3), 3, 2, 3),
+        (complete_graph(5), 10, 2, 10),
     ],
 )
 def test_count_fixtures(graph, phi, psi, phi_max):
     result = count(graph)
     assert (result.phi, result.psi, result.phi_max) == (phi, psi, phi_max)
+    assert result == CountResult(phi=phi, phi_max=phi_max, psi=psi)
+    assert hash(result) == hash(CountResult(phi, phi_max, psi))
+    assert result != CountResult(phi, phi_max, psi + 1)
+    assert result.as_dict() == {"phi": phi, "phi_max": phi_max, "psi": psi}
+    assert repr(result) == f"CountResult(phi={phi}, phi_max={phi_max}, psi={psi})"
+    with pytest.raises(AttributeError):
+        result.phi = phi + 1
 
 
 def _partition(g, v):

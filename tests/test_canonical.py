@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dissoc import (
     Graph,
+    Graph6Error,
     TimeLimitError,
     canonical_form,
     complete_bipartite_graph,
@@ -63,6 +64,18 @@ def test_search_past_its_budget_raises_time_limit_error(monkeypatch):
     assert time.monotonic() - t0 < 1.0
     # a search of fewer than 1024 extending nodes ends before any clock check
     assert canonical_form(cycle_graph(4)) == "C]"
+
+
+def test_order_past_graph6_is_refused_before_any_search(monkeypatch):
+    monkeypatch.setattr(canonical, "CANONICAL_TIME_LIMIT", 600.0)
+    searched = []
+    monkeypatch.setattr(canonical, "_least", lambda *args: searched.append(args))
+    t0 = time.monotonic()
+    for g in (cycle_graph(63), complete_graph(63)):
+        with pytest.raises(Graph6Error, match="order <= 62, got 63"):
+            canonical_form(g)
+    assert time.monotonic() - t0 < 1.0
+    assert searched == []
 
 
 # the canonical strings of every class of order 4 and 5 (A000088: 11 and 34)

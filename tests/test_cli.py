@@ -407,6 +407,24 @@ def test_verify_csv_equals_a_csv_writer_reference(monkeypatch, capsys):
     assert out == _csv_writer_text(rows)
 
 
+def test_verify_runs_the_suite_bound_on_the_cli_module(monkeypatch, capsys):
+    real = cli.verify_family_values  # resolved through cli's module __getattr__
+    assert real is extremal.verify_family_values
+    calls = []
+
+    def recorded(**options):
+        calls.append(options)
+        return real(**options)
+
+    monkeypatch.setattr(cli, "verify_family_values", recorded)
+    code, out, _ = run_cli(["verify", "families", "--t-max", "1"],
+                           monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and "families: pass" in out
+    assert calls == [{"max_t": 1}]
+    with pytest.raises(AttributeError):
+        cli.verify_nothing
+
+
 def test_verify_paths_cycles_passes(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["verify", "paths-cycles", "--n-max", "12"], monkeypatch=monkeypatch, capsys=capsys

@@ -1,5 +1,8 @@
 """Graph construction, named families, and vertex deletion."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,18 +108,44 @@ def test_delete_rejects_out_of_range():
 
 
 def test_graph_rejects_asymmetric_adjacency():
-    with pytest.raises(ValueError, match="asymmetric"):
-        Graph(2, (0b10, 0b00))
+    for order, adj in ((2, (0b10, 0b00)), (3, (0b100, 0b000, 0b000))):
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph(order, adj)
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph(order=order, adj=adj)
 
 
 def test_graph_rejects_self_loop():
-    with pytest.raises(ValueError, match="self-loop"):
-        Graph(1, (0b1,))
+    for order, adj in ((1, (0b1,)), (2, (0b01, 0b10))):
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(order, adj)
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(order=order, adj=adj)
 
 
 def test_graph_rejects_out_of_range_bits():
     with pytest.raises(ValueError):
         Graph(2, (0b100, 0b000))
+
+
+def test_graphs_are_immutable_values():
+    g = path_graph(3)
+    same = Graph.from_edges(3, [(1, 2), (0, 1)])
+    assert g == same and hash(g) == hash(same) and g is not same
+    assert g != cycle_graph(3) and g != Graph(3, (0, 0, 0))
+    assert g != (3, (2, 5, 2))  # equal only to graphs
+    assert len({g, same, Graph(3, (2, 5, 2))}) == 1
+    assert repr(g) == "Graph(order=3, adj=(2, 5, 2))"
+    assert pickle.loads(pickle.dumps(g)) == g == copy.deepcopy(g)
+    with pytest.raises(AttributeError):
+        g.order = 4
+    with pytest.raises(AttributeError):
+        g.adj = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        del g.order
+    with pytest.raises(AttributeError):
+        g.label = "P3"
+    assert g.order == 3 and g.adj == (2, 5, 2)
 
 
 @given(graphs())
@@ -129,7 +158,8 @@ def test_adjacency_is_symmetric_and_irreflexive(g):
 
 @given(graphs(max_order=6))
 def test_edge_mask_roundtrip(g):
-    assert Graph.from_edge_mask(g.order, g.edge_mask()) == g
+    back = Graph.from_edge_mask(g.order, g.edge_mask())
+    assert back == g and hash(back) == hash(g)
 
 
 @given(graphs(max_order=5), graphs(max_order=5))

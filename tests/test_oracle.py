@@ -1,5 +1,6 @@
 """Brute-force oracle: dissociation predicate, maximality, subset enumeration."""
 
+import pickle
 import random
 
 import hypothesis.strategies as st
@@ -18,6 +19,7 @@ from dissoc import (
     cycle_graph,
     disjoint_union,
     dissociation_number,
+    enumerate_maximal,
     enumerate_maximal_bruteforce,
     is_dissociation,
     is_maximal,
@@ -110,6 +112,22 @@ def test_family_yields_sorted_tuples_and_tests_membership_by_set():
     assert [-1] not in family  # out-of-range vertices are absent, not errors
     assert [40] not in family
     assert [0, 40] not in family
+
+
+def test_families_are_immutable_values():
+    family = enumerate_maximal_bruteforce(cycle_graph(4))
+    same = DissociationFamily.from_masks(4, reversed(family.masks))
+    assert family == same and hash(family) == hash(same) and family is not same
+    assert family == enumerate_maximal(cycle_graph(4))  # the enumerator's family
+    assert family != DissociationFamily(5, family.masks)
+    assert family != enumerate_maximal_bruteforce(path_graph(4))
+    assert repr(DissociationFamily(2, (3,))) == "DissociationFamily(source_order=2, masks=(3,))"
+    assert family.sets == tuple(family) and "sets" in vars(family)  # decoded once
+    assert pickle.loads(pickle.dumps(family)) == family
+    with pytest.raises(AttributeError):
+        family.masks = ()
+    with pytest.raises(AttributeError):
+        family.source_order = 5
 
 
 _MASKS = st.one_of(
