@@ -13,6 +13,11 @@ values, the 10^(n/5) and 6^(n/4) bounds with their equality
 characterizations, the per-pivot counting recurrences, and the path/cycle
 bounds.
 
+Results are plain records.  SweepFilter, ExtremalRecord and Violation are
+typing.NamedTuples, equal and hashed by value, and VerificationReport is a
+plain class that a suite fills as it checks.  An ExtremalRecord holds results
+only, no timing: a caller that wants a sweep's time measures its own call.
+
 Bound checks are exact integer comparisons: phi <= 10^(n/5) is decided as
 phi^5 <= 10^n, phi <= 6^(n/4) as phi^4 <= 6^n, and phi < 0.81 * 6^(n/4) as
 100^4 * phi^4 < 81^4 * 6^n.  Floats appear only in failure messages.
@@ -22,10 +27,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .branching import _pivot_partition, count, maximal_masks
 from .canonical import _least, _twins, canonical_form
@@ -108,8 +112,7 @@ def is_bipartite(order: int, adj: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SweepFilter:
+class SweepFilter(NamedTuple):
     """Class restriction applied during a sweep.  Filters combine by AND;
     bipartiteness already implies triangle-freeness (asserted, not assumed)."""
 
@@ -203,22 +206,7 @@ def _phi_pair(order: int, adj: Sequence[int]) -> tuple[int, int]:
     return len(sizes), sizes.count(max(sizes))
 
 
-@dataclass
-class _Best:
-    """Running maximum of one quantity and the adjacencies attaining it."""
-
-    value: int = -1
-    adjs: list[tuple[int, ...]] = field(default_factory=list)
-
-    def add(self, value: int, adj: tuple[int, ...]) -> None:
-        if value > self.value:
-            self.value, self.adjs = value, [adj]
-        elif value == self.value:
-            self.adjs.append(adj)
-
-
-@dataclass(frozen=True)
-class ExtremalRecord:
+class ExtremalRecord(NamedTuple):
     """Result of one class scan for one quantity: the maximum value and its
     attaining classes.
 
@@ -233,7 +221,6 @@ class ExtremalRecord:
     max_value: int
     extremal_canonical: tuple[str, ...]
     graphs_scanned: int
-    elapsed_ms: float = field(compare=False)  # timing is metadata, not a result
 
     def to_json_dict(self) -> dict:
         """The record as `verify bounds` reports it in details.records."""
@@ -256,7 +243,8 @@ def _scan(order: int, filt: SweepFilter) -> tuple[dict[str, ExtremalRecord], lis
     limit = SWEEP_TIME_LIMIT
     start = time.monotonic()
     scanned = 0
-    best = {"phi": _Best(), "phi_max": _Best()}
+    top = {"phi": -1, "phi_max": -1}  # running maximum of each quantity
+    adjs: dict[str, list[tuple[int, ...]]] = {"phi": [], "phi_max": []}  # attaining it
     inverted = []
     for adj, aut in _graphs(order, filt):
         if time.monotonic() - start > limit:
@@ -265,16 +253,18 @@ def _scan(order: int, filt: SweepFilter) -> tuple[dict[str, ExtremalRecord], lis
             )
         scanned += factorial(order) // aut  # labeled graphs in the class
         phi, phi_max = _phi_pair(order, adj)
-        best["phi"].add(phi, adj)
-        best["phi_max"].add(phi_max, adj)
+        for q, value in (("phi", phi), ("phi_max", phi_max)):
+            if value > top[q]:
+                top[q], adjs[q] = value, [adj]
+            elif value == top[q]:
+                adjs[q].append(adj)
         if phi_max > phi:
             inverted.append(serialize_graph6(Graph(order, adj)))
-    elapsed_ms = (time.monotonic() - start) * 1000.0
     records = {
-        q: ExtremalRecord(order, filt, q, b.value,
-                          tuple(sorted(serialize_graph6(Graph(order, adj)) for adj in b.adjs)),
-                          scanned, elapsed_ms)
-        for q, b in best.items()
+        q: ExtremalRecord(order, filt, q, top[q],
+                          tuple(sorted(serialize_graph6(Graph(order, adj)) for adj in adjs[q])),
+                          scanned)
+        for q in top
     }
     return records, inverted
 
@@ -306,8 +296,7 @@ def sweep(order: int, filt: SweepFilter = SweepFilter(), quantity: str = "phi") 
 # verification reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     check: str
     detail: str
     graph6: str | None = None
@@ -319,13 +308,16 @@ class Violation:
         return out
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    elapsed_ms: float = 0.0
-    details: dict = field(default_factory=dict)
+    """The checks and violations of one verify suite.  The suite sets
+    elapsed_ms and fills details, and each report owns its own list and dict."""
+
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.checks = 0
+        self.violations: list[Violation] = []
+        self.elapsed_ms = 0.0
+        self.details: dict = {}
 
     @property
     def passed(self) -> bool:

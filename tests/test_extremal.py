@@ -39,6 +39,7 @@ from dissoc import extremal
 from dissoc.canonical import _least
 from dissoc.extremal import (
     VerificationReport,
+    Violation,
     _below_path_bound,
     _expected_general_equality_classes,
     _expected_triangle_free_equality_classes,
@@ -82,6 +83,7 @@ def test_bipartite_predicate():
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_generator_yields_exactly_the_admitted_graphs(name):
     filt = FILTERS[name]
+    assert filt.label() == name
     for order in range(6):
         got = list(_graphs(order, filt))
         masks = [mask for mask, _ in got]
@@ -128,6 +130,9 @@ def test_class_generator_counts_the_isomorphism_classes(label):
     filt = SweepFilter(
         triangle_free="triangle-free" in label, connected_only="connected" in label
     )
+    positional = SweepFilter("triangle-free" in label, False, "connected" in label)
+    assert positional == filt and hash(positional) == hash(filt)
+    assert filt.label() == label
     got = tuple(
         sum(1 for _ in extremal._graphs(order, filt))
         for order in range(len(CLASS_COUNTS[label]))
@@ -202,6 +207,8 @@ def test_sweep_order5_unfiltered_finds_three_classes():
     rec = sweep(5, SweepFilter())
     assert rec.max_value == 10
     assert rec.graphs_scanned == 1024
+    again = sweep(5)  # a record holds results only, so two scans are equal
+    assert again == rec and hash(again) == hash(rec)
     expected = sorted(canonical_form(k_star_graph(5, i)) for i in range(3))
     assert sorted(rec.extremal_canonical) == expected
 
@@ -296,6 +303,16 @@ def test_report_expect_records_violations():
     assert not report.passed
     assert report.violations[0].check == "bad-check"
     assert report.violations[0].graph6 == "C~"
+    assert report.violations[0].to_json_dict() == {
+        "check": "bad-check", "detail": "broken", "graph6": "C~"}
+    # a violation without a graph has no graph6 key
+    assert Violation("bad-check", "broken").to_json_dict() == {
+        "check": "bad-check", "detail": "broken"}
+    # each report owns its violations and details
+    report.details["key"] = 1
+    fresh, other = VerificationReport("unit"), VerificationReport("unit")
+    assert fresh.violations == [] and fresh.details == {} and fresh.passed
+    assert fresh.violations is not other.violations and fresh.details is not other.details
 
 
 def test_family_values_small():

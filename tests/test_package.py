@@ -30,18 +30,22 @@ def test_removed_layers_stay_removed():
 
 
 # Run in a fresh interpreter: pytest and hypothesis import dataclasses
-# themselves.  Each line names the heavy modules loaded since the start.
+# themselves.  Each line names the heavy modules its step loaded.
 _IMPORT_PROBE = """
 import sys
-heavy = ("dissoc.extremal", "dissoc.canonical", "dataclasses", "json")
+heavy = {"dissoc.extremal", "dissoc.canonical", "dataclasses", "json"}
 before = set(sys.modules)
 def loaded(step):
-    print(step, *sorted(set(heavy) & (set(sys.modules) - before)), file=sys.stderr)
+    global before
+    print(step, *sorted(heavy & (set(sys.modules) - before)), file=sys.stderr)
+    before = set(sys.modules)
 import dissoc.cli
 loaded("import")
 dissoc.cli.main(["gen", "path:1"])
 dissoc.cli.main(["count", sys.argv[1]])
 loaded("gen+count")
+dissoc.sweep(3, dissoc.SweepFilter())
+loaded("sweep")
 dissoc.cli.main(["verify", "families", "--t-max", "1"])
 loaded("verify")
 """
@@ -58,7 +62,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert proc.stderr.splitlines() == [
         "import",
         "gen+count",
-        "verify dataclasses dissoc.canonical dissoc.extremal",
+        "sweep dissoc.canonical dissoc.extremal",
+        "verify",
     ]
 
 
