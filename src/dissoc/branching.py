@@ -29,8 +29,10 @@ def _search(
     `leaf` returns the least set size still wanted; branches whose taken plus
     residual vertices fall short of it are cut.  With `maximal` false the
     excluded vertices are not tracked, so leaves may also be non-maximal sets.
-    A size-bounded search wants that: its floor already cuts most branches and
-    tracking would cost more than it saves.
+    The size-bounded search runs that way, which pays on small graphs only:
+    untracked took 0.17 s against 0.22-0.27 s tracked on 2,970 G(n, p) graphs
+    of order 8..18, but 0.031-0.038 s against 0.011 s on P26, C24, 5K5,
+    K3,3 + 4C4 and K5* + K5* + K6 + K4* + K4* (minima of 5 runs, 2-core Xeon).
     """
     floor = 0
     track = -1 if maximal else 0
@@ -119,9 +121,6 @@ class CountResult(NamedTuple):
     phi: int          # number of maximal dissociation sets
     phi_max: int      # number of maximum dissociation sets
     psi: int          # dissociation number (size of a maximum set)
-
-    def as_dict(self) -> dict:
-        return {"phi": self.phi, "phi_max": self.phi_max, "psi": self.psi}
 
 
 def _component_families(g: Graph) -> list[list[int]]:

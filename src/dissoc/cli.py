@@ -87,7 +87,10 @@ def parse_family_string(text: str) -> Graph:
         parts = [p for p in parts if p.strip()]
         if not parts:
             raise SpecGrammarError(f"union needs at least one member spec: {text!r}")
-        members = [parse_family_string(p) for p in parts]
+        try:
+            members = [parse_family_string(p) for p in parts]
+        except RecursionError:
+            raise SpecGrammarError("unions nest too deeply") from None
         _check_short_form(sum(g.order for g in members))
         return disjoint_union(*members)
     if ":" not in text:
@@ -210,7 +213,7 @@ def _emit_rows(fmt: str, command: str, rows: list[dict], columns: Sequence[str],
 
 def _cmd_count(args) -> int:
     parsed, errors = _parse_lines(args.input)
-    rows = [{"graph6": text, "n": g.order, **count(g).as_dict()} for _, text, g in parsed]
+    rows = [{"graph6": text, "n": g.order, **count(g)._asdict()} for _, text, g in parsed]
     _emit_rows(args.format, "count", rows, ("graph6", "n", "phi", "phi_max", "psi"), errors)
     return 1 if errors else 0
 

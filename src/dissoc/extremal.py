@@ -9,18 +9,19 @@ bounds suite reports both records of each scan as its details.records.  Each
 scan runs under the wall-clock budget SWEEP_TIME_LIMIT and raises
 TimeLimitError past it, so a runaway order fails loudly instead of hanging.
 The verify_* operations package the checkable claims: closed-form family
-values, the 10^(n/5) and 6^(n/4) bounds with their equality
-characterizations, the per-pivot counting recurrences, and the path/cycle
-bounds.
+values, the paper's two bounds with their equality characterizations, the
+per-pivot counting recurrences, and the path/cycle bounds.
 
 Results are plain records.  SweepFilter, ExtremalRecord and Violation are
 typing.NamedTuples, equal and hashed by value, and VerificationReport is a
 plain class that a suite fills as it checks.  An ExtremalRecord holds results
 only, no timing: a caller that wants a sweep's time measures its own call.
 
-Bound checks are exact integer comparisons: phi <= 10^(n/5) is decided as
-phi^5 <= 10^n, phi <= 6^(n/4) as phi^4 <= 6^n, and phi < 0.81 * 6^(n/4) as
-100^4 * phi^4 < 81^4 * 6^n.  Floats appear only in failure messages.
+Each bound, phi <= base^(n/root) over all or over triangle-free graphs, is
+stated once, in _BOUNDS, and every check reads it there as an exact integer
+comparison: phi^root <= base^n, and for the path lemma's phi < 0.81 *
+base^(n/root), 100^root * phi^root < 81^root * base^n.  Floats appear only
+in failure messages.
 """
 
 from __future__ import annotations
@@ -50,19 +51,22 @@ SWEEP_TIME_LIMIT = 1200.0  # seconds per class scan, read at call time
 EDGE_PROBABILITIES = (0.2, 0.5, 0.8)
 
 
-def _within_general_bound(phi: int, order: int) -> bool:
-    """phi <= 10^(n/5), exactly."""
-    return phi ** 5 <= 10 ** order
+# The paper's two bounds by filter label: phi <= base^(n/root), attained
+# exactly by the disjoint unions of K_root minus a matching of a listed size,
+# each block with phi = base (K5 minus 0, 1 or 2 edges, and C4 = K4*).
+_BOUNDS = {"all": (10, 5, (0, 1, 2)), "triangle-free": (6, 4, (2,))}
 
 
-def _within_triangle_free_bound(phi: int, order: int) -> bool:
-    """phi <= 6^(n/4), exactly."""
-    return phi ** 4 <= 6 ** order
+def _within(label: str, phi: int, order: int) -> bool:
+    """phi <= base^(n/root) for the bound of `label`, exactly."""
+    base, root, _ = _BOUNDS[label]
+    return phi ** root <= base ** order
 
 
 def _below_path_bound(phi: int, order: int) -> bool:
-    """phi < 0.81 * 6^(n/4), exactly."""
-    return 100 ** 4 * phi ** 4 < 81 ** 4 * 6 ** order
+    """phi < 0.81 * base^(n/root) for the triangle-free bound, exactly."""
+    base, root, _ = _BOUNDS["triangle-free"]
+    return 100 ** root * phi ** root < 81 ** root * base ** order
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +437,16 @@ def verify_family_values(max_t: int = 3) -> VerificationReport:
 # universal bounds and extremal characterizations
 # ---------------------------------------------------------------------------
 
-def _canonical_kstar_unions(m: int, t: int, variants: Sequence[int] = range(3)) -> set[str]:
-    """Canonical forms of the disjoint unions of t copies of K_m minus a
-    matching, one per multiset of matching sizes drawn from `variants`."""
+def _equality_classes(label: str, order: int) -> set[str]:
+    """Canonical forms of the graphs of `order` attaining the bound of
+    `label`: one union of order/root blocks per multiset of matching sizes."""
+    _, root, sizes = _BOUNDS[label]
+    if order % root:
+        return set()
     return {
-        canonical_form(disjoint_union(*(k_star_graph(m, i) for i in combo)))
-        for combo in combinations_with_replacement(variants, t)
+        canonical_form(disjoint_union(*(k_star_graph(root, i) for i in combo)))
+        for combo in combinations_with_replacement(sizes, order // root)
     }
-
-
-def _expected_general_equality_classes(order: int) -> set[str]:
-    """Canonical forms of the graphs attaining 10^(n/5): unions of 5-cliques
-    with at most two matching edges removed."""
-    return set() if order % 5 else _canonical_kstar_unions(5, order // 5)
-
-
-def _expected_triangle_free_equality_classes(order: int) -> set[str]:
-    """Canonical forms attaining 6^(n/4) among triangle-free graphs: unions of
-    4-cycles, each a 4-clique minus a perfect matching."""
-    return set() if order % 4 else _canonical_kstar_unions(4, order // 4, variants=(2,))
 
 
 # max phi over all and over triangle-free graphs of order 0..9, by exhaustive sweeps
@@ -466,20 +461,17 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[ExtremalR
     one scan of all graphs and one of the triangle-free graphs."""
     by_key = {}
     inverted: set[str] = set()
-    for filt, within, check, base, root, expected_classes in (
-        (SweepFilter(), _within_general_bound, "general", 10, 5,
-         _expected_general_equality_classes),
-        (SweepFilter(triangle_free=True), _within_triangle_free_bound, "triangle-free", 6, 4,
-         _expected_triangle_free_equality_classes),
-    ):
+    for filt, check in ((SweepFilter(), "general"),
+                        (SweepFilter(triangle_free=True), "triangle-free")):
         label = filt.label()
+        base, root, _ = _BOUNDS[label]
         records, bad = _scan(order, filt)
         inverted.update(bad)
         # the bound is monotone in phi, so every graph meets it exactly when
         # the maximum does
         top = records["phi"]
         report.expect(
-            within(top.max_value, order),
+            _within(label, top.max_value, order),
             f"{check}-bound",
             f"order {order}: {label} maximum phi={top.max_value} > {base}^(n/{root})",
             graph6=top.extremal_canonical[0],
@@ -488,7 +480,7 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[ExtremalR
             report.expect(top.max_value == pinned, "pinned-maximum",
                           f"order {order}: {label} maximum phi={top.max_value}, expected {pinned}",
                           graph6=top.extremal_canonical[0])
-        expected = expected_classes(order)
+        expected = _equality_classes(label, order)
         for quantity, rec in records.items():
             by_key[label, quantity] = rec
             if order % root == 0:
@@ -522,9 +514,9 @@ def _scan_bounds_order(order: int, report: VerificationReport) -> list[ExtremalR
 
 
 def verify_asymptotic_bounds(order_max: int = 6, *, seed: int = 0) -> VerificationReport:
-    """Check phi <= 10^(n/5) and, for triangle-free graphs, phi <= 6^(n/4)
+    """Check both bounds of _BOUNDS, over all and over triangle-free graphs,
     on every labeled graph up to order_max, with equality exactly on the
-    characterized families; phi' is held to the same bounds and to phi' <= phi,
+    unions of their blocks; phi' is held to the same bounds and to phi' <= phi,
     and the maximum phi at each order up to 9 to its pinned value.
     On top of the exhaustive range, 30 seeded random graphs at each order
     8..14 and 200 random bipartite graphs of order 12 are spot-checked.
@@ -550,14 +542,9 @@ def verify_asymptotic_bounds(order_max: int = 6, *, seed: int = 0) -> Verificati
             g = random_graph(rng, order, EDGE_PROBABILITIES[trial % 3])
             result = count(g)
             spot += 1
-            ok = (
-                result.phi_max <= result.phi
-                and _within_general_bound(result.phi, order)
-                and (
-                    not is_triangle_free(g.order, g.adj)
-                    or _within_triangle_free_bound(result.phi, order)
-                )
-            )
+            labels = _BOUNDS if is_triangle_free(g.order, g.adj) else ("all",)
+            ok = result.phi_max <= result.phi and all(
+                _within(label, result.phi, order) for label in labels)
             report.expect(
                 ok,
                 "spot-bound",
@@ -566,15 +553,16 @@ def verify_asymptotic_bounds(order_max: int = 6, *, seed: int = 0) -> Verificati
                 graph6=serialize_graph6(g) if not ok else None,
             )
     order = 12
+    base, root, _ = _BOUNDS["triangle-free"]
     for trial in range(200):
         g = random_bipartite_graph(rng, order, EDGE_PROBABILITIES[trial % 3])
         result = count(g)
         spot += 1
         report.expect(
-            _within_triangle_free_bound(result.phi, order),
+            _within("triangle-free", result.phi, order),
             "bipartite-spot-bound",
             f"random bipartite graph order {order} trial {trial}: "
-            f"phi={result.phi} > 6^(n/4)",
+            f"phi={result.phi} > {base}^(n/{root})",
         )
     report.details["spot_checks"] = spot
     report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -722,31 +710,34 @@ def verify_recurrences(pivot_trials: int = 200, seed: int = 0) -> VerificationRe
 # ---------------------------------------------------------------------------
 
 def verify_path_cycle_bounds(n_max: int = 20) -> VerificationReport:
-    """phi(P_n) < 0.81 * 6^(n/4) for n up to n_max, and phi(C_n) <= 6^(n/4)
-    with equality exactly at n = 4.  An n_max below 1 raises ValueError."""
+    """phi(P_n) < 0.81 * base^(n/root) for n up to n_max, and phi(C_n) <=
+    base^(n/root) with equality exactly at n = root, for the triangle-free
+    bound of _BOUNDS.  An n_max below 1 raises ValueError."""
     _check_size("n_max", n_max, 1, n_max)
     t0 = time.perf_counter()
     report = VerificationReport(suite="paths-cycles")
+    base, root, _ = _BOUNDS["triangle-free"]
+    growth = base ** (1 / root)  # per-vertex growth of the bound, for messages
     paths = []
     for n in range(1, n_max + 1):
         phi = count(path_graph(n)).phi
         report.expect(
             _below_path_bound(phi, n),
             "path-bound",
-            f"phi(P_{n})={phi} is not strictly below 0.81 * 6^(n/4)="
-            f"{0.81 * (6 ** 0.25) ** n:.6f}",
+            f"phi(P_{n})={phi} is not strictly below 0.81 * {base}^(n/{root})="
+            f"{0.81 * growth ** n:.6f}",
         )
         paths.append({"n": n, "phi": phi})
     cycles = []
     for n in range(3, n_max + 1):
         phi = count(cycle_graph(n)).phi
-        if n == 4:
-            report.expect(phi == 6, "cycle-equality", f"phi(C_4)={phi}, expected exactly 6")
+        if n == root:
+            report.expect(phi == base, "cycle-equality", f"phi(C_{n})={phi}, expected exactly {base}")
         else:
             report.expect(
-                phi ** 4 < 6 ** n,
+                phi ** root < base ** n,
                 "cycle-bound",
-                f"phi(C_{n})={phi} is not strictly below 6^(n/4)={(6 ** 0.25) ** n:.6f}",
+                f"phi(C_{n})={phi} is not strictly below {base}^(n/{root})={growth ** n:.6f}",
             )
         cycles.append({"n": n, "phi": phi})
     report.details["paths"] = paths

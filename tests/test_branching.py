@@ -83,7 +83,7 @@ def test_count_fixtures(graph, phi, psi, phi_max):
     assert result == CountResult(phi=phi, phi_max=phi_max, psi=psi)
     assert hash(result) == hash(CountResult(phi, phi_max, psi))
     assert result != CountResult(phi, phi_max, psi + 1)
-    assert result.as_dict() == {"phi": phi, "phi_max": phi_max, "psi": psi}
+    assert result._asdict() == {"phi": phi, "phi_max": phi_max, "psi": psi}
     assert repr(result) == f"CountResult(phi={phi}, phi_max={phi_max}, psi={psi})"
     with pytest.raises(AttributeError):
         result.phi = phi + 1
@@ -240,10 +240,10 @@ def test_count_is_invariant_under_relabelling(g, rng):
     perm = list(range(g.order))
     rng.shuffle(perm)
     h = Graph.from_edges(g.order, [(perm[i], perm[j]) for i, j in g.edges()])
-    assert count(h).as_dict() == count(g).as_dict()
+    assert count(h)._asdict() == count(g)._asdict()
 
 
 def test_count_of_the_largest_path_and_cycle():
     # transfer-matrix values, independent of the branching search
-    assert count(path_graph(32)).as_dict() == {"phi": 39249, "phi_max": 1, "psi": 22}
-    assert count(cycle_graph(32)).as_dict() == {"phi": 48830, "phi_max": 32, "psi": 21}
+    assert count(path_graph(32))._asdict() == {"phi": 39249, "phi_max": 1, "psi": 22}
+    assert count(cycle_graph(32))._asdict() == {"phi": 48830, "phi_max": 32, "psi": 21}

@@ -97,6 +97,21 @@ def test_gen_past_the_short_form_prints_one_error_line(monkeypatch, capsys):
     assert (code, out, err) == (2, "", "error: short-form graph6 supports order <= 62, got 63\n")
 
 
+def test_gen_deeply_nested_union_prints_one_error_line(monkeypatch, capsys):
+    spec = "union:(" * 600 + "path:1" + ")" * 600
+    code, out, err = run_cli(["gen", spec], monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: unions nest too deeply\n")
+
+
+def test_a_recursion_error_outside_gen_is_not_a_command_error(monkeypatch, capsys):
+    def too_deep(g):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "count", too_deep)
+    with pytest.raises(RecursionError):
+        run_cli(["count"], stdin_text="@\n", monkeypatch=monkeypatch, capsys=capsys)
+
+
 def _unbuildable(*args):
     raise AssertionError("a graph past graph6's short form was built")
 

@@ -40,11 +40,11 @@ from dissoc.canonical import _least
 from dissoc.extremal import (
     VerificationReport,
     Violation,
+    _BOUNDS,
+    _PINNED_MAXIMA,
     _below_path_bound,
-    _expected_general_equality_classes,
-    _expected_triangle_free_equality_classes,
-    _within_general_bound,
-    _within_triangle_free_bound,
+    _equality_classes,
+    _within,
 )
 
 from labeled import admits, labeled_graphs as _graphs, relabellings
@@ -60,11 +60,30 @@ FILTERS = {
 
 def test_exact_bound_checks_at_their_equality_cases():
     # 2K5 has 100 = 10^(10/5) maximal sets and 2C4 has 36 = 6^(8/4)
-    assert _within_general_bound(100, 10) and not _within_general_bound(101, 10)
-    assert _within_triangle_free_bound(36, 8) and not _within_triangle_free_bound(37, 8)
+    assert _within("all", 100, 10) and not _within("all", 101, 10)
+    assert _within("triangle-free", 36, 8) and not _within("triangle-free", 37, 8)
     # 0.81 * 6^(4/4) = 4.86 and 0.81 * 6^(8/4) = 29.16
     assert _below_path_bound(4, 4) and not _below_path_bound(5, 4)
     assert _below_path_bound(29, 8) and not _below_path_bound(30, 8)
+
+
+@pytest.mark.parametrize("label", sorted(_BOUNDS))
+def test_bound_blocks_attain_the_base(label):
+    # each block K_root minus a listed matching has phi = phi' = base
+    base, root, sizes = _BOUNDS[label]
+    for i in sizes:
+        block = k_star_graph(root, i)
+        result = count(block)
+        assert (result.phi, result.phi_max) == (base, base), (label, i)
+        assert label == "all" or is_triangle_free(block.order, block.adj)
+
+
+@pytest.mark.parametrize("label", sorted(_PINNED_MAXIMA))
+def test_pinned_maxima_meet_their_bound_with_equality_where_root_divides_n(label):
+    base, root, _ = _BOUNDS[label]
+    for n, phi in enumerate(_PINNED_MAXIMA[label]):
+        assert _within(label, phi, n), (label, n)
+        assert (phi ** root == base ** n) == (n % root == 0), (label, n)
 
 
 def test_triangle_free_predicate():
@@ -225,7 +244,7 @@ def test_order9_maximum_60_is_attained_on_k5_k4_pairs():
         for j in range(3):
             result = count(disjoint_union(k_star_graph(5, i), k_star_graph(4, j)))
             assert result.phi == result.phi_max == 60, (i, j)
-    assert _within_general_bound(60, 9)
+    assert _within("all", 60, 9)
 
 
 def test_sweep_rejects_unknown_quantity():
@@ -380,14 +399,14 @@ EXPECTED_CLASSES = {
 
 def test_expected_equality_classes_are_pinned_through_order_8():
     for order, (general, triangle_free) in EXPECTED_CLASSES.items():
-        assert _expected_general_equality_classes(order) == general
-        assert _expected_triangle_free_equality_classes(order) == triangle_free
+        assert _equality_classes("all", order) == general
+        assert _equality_classes("triangle-free", order) == triangle_free
 
 
 def test_expected_equality_classes_past_order_8():
     # the six unions of two K5 minus a matching, and 3C4, are labelled past order 8
-    general = _expected_general_equality_classes(10)
-    triangle_free = _expected_triangle_free_equality_classes(12)
+    general = _equality_classes("all", 10)
+    triangle_free = _equality_classes("triangle-free", 12)
     assert (len(general), len(triangle_free)) == (6, 1)
     for text in general | triangle_free:
         g = parse_graph6(text)
@@ -401,7 +420,7 @@ def test_bounds_check_the_pinned_maxima(monkeypatch):
     report = _small_bounds()
     assert [(v.check, v.detail) for v in report.violations] == [
         ("pinned-maximum", "order 5: all maximum phi=10, expected 11")]
-    assert report.violations[0].graph6 in _expected_general_equality_classes(5)
+    assert report.violations[0].graph6 in _equality_classes("all", 5)
 
 
 def test_bounds_over_budget_raises_time_limit_error(monkeypatch):
@@ -426,14 +445,14 @@ def test_bounds_records_match_sweep():
 
 
 @pytest.mark.parametrize(
-    "patched, check, label",
-    [
-        ("_within_general_bound", "general-bound", "all"),
-        ("_within_triangle_free_bound", "triangle-free-bound", "triangle-free"),
-    ],
+    "check, label",
+    [("general-bound", "all"), ("triangle-free-bound", "triangle-free")],
+    ids=["all", "triangle-free"],
 )
-def test_bounds_report_a_broken_bound_at_a_maximum(monkeypatch, patched, check, label):
-    monkeypatch.setattr(extremal, patched, lambda phi, order: False)
+def test_bounds_report_a_broken_bound_at_a_maximum(monkeypatch, check, label):
+    real = extremal._within
+    monkeypatch.setattr(extremal, "_within",
+                        lambda lab, phi, order: lab != label and real(lab, phi, order))
     report = _small_bounds(order_max=4)
     maxima = {
         r["order"]: r
@@ -448,6 +467,33 @@ def test_bounds_report_a_broken_bound_at_a_maximum(monkeypatch, patched, check, 
         # the witness is one of the record's attaining classes
         assert v.graph6 in maxima[g.order]["extremal_graph6"]
         assert label == "all" or is_triangle_free(g.order, g.adj)
+
+
+@pytest.mark.parametrize(
+    "label, weakened, check, unmet",
+    [
+        ("all", (9, 5, (0, 1, 2)), "general", {"bound": [4, 5], "equality-classes": [5, 5]}),
+        ("triangle-free", (5, 4, (2,)), "triangle-free",
+         {"bound": [4, 5], "equality-classes": [4, 4]}),
+    ],
+    ids=["all", "triangle-free"],
+)
+def test_a_weakened_bound_in_the_table_is_reported(monkeypatch, label, weakened, check, unmet):
+    # lowering one entry's base is enough to turn its bound and equality
+    # checks into violations: no other code states the bound
+    monkeypatch.setitem(extremal._BOUNDS, label, weakened)
+    report = _small_bounds()
+    found = {
+        kind: [int(v.detail.split()[1].rstrip(":")) for v in report.violations
+               if v.check == f"{check}-{kind}"]
+        for kind in unmet
+    }
+    assert found == unmet
+    assert {v.check for v in report.violations} == {f"{check}-{kind}" for kind in unmet}
+    paths_cycles = verify_path_cycle_bounds(n_max=12)
+    assert paths_cycles.passed == (label == "all")
+    if label == "triangle-free":
+        assert "cycle-equality" in {v.check for v in paths_cycles.violations}
 
 
 def test_bounds_report_every_graph_with_phi_max_above_phi(monkeypatch):
