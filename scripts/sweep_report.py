@@ -2,7 +2,7 @@
 """Exhaustive extremal sweeps over a range of orders, printed as a table.
 
 Usage:
-    python scripts/sweep_report.py [--orders 1-7] [--filter all|triangle-free|bipartite|connected]
+    python scripts/sweep_report.py [--orders 1-7] [--filter all|triangle-free|connected]
                                    [--quantity phi|phi_max]
 
 Sweeps visit one graph per isomorphism class; "scanned" counts the labeled
@@ -43,7 +43,6 @@ def parse_orders(text: str) -> list[int]:
 FILTERS = {
     "all": SweepFilter(),
     "triangle-free": SweepFilter(triangle_free=True),
-    "bipartite": SweepFilter(bipartite=True),
     "connected": SweepFilter(connected_only=True),
 }
 

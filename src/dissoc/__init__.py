@@ -21,9 +21,8 @@ _EXPORTS = {
                   "maximum_dissociation_set"),
     "canonical": ("canonical_form",),
     "extremal": ("ExtremalRecord", "SweepFilter", "VerificationReport", "Violation",
-                 "is_bipartite", "is_triangle_free", "random_bipartite_graph", "random_graph",
-                 "sweep", "verify_asymptotic_bounds", "verify_family_values",
-                 "verify_path_cycle_bounds", "verify_recurrences"),
+                 "is_triangle_free", "random_graph", "sweep", "verify_asymptotic_bounds",
+                 "verify_family_values", "verify_path_cycle_bounds", "verify_recurrences"),
     "graph6": ("GRAPH6_ORDER_CAP", "Graph6Error", "parse_graph6", "serialize_graph6"),
     "graphs": ("ENUMERATION_ORDER_CAP", "FamilySpecError", "Graph", "TimeLimitError",
                "UnsupportedSizeError", "complete_bipartite_graph", "complete_graph",

@@ -6,7 +6,7 @@ built as a new relabelled graph."""
 from itertools import permutations
 from typing import Iterable
 
-from dissoc import Graph, SweepFilter, is_bipartite, is_triangle_free
+from dissoc import Graph, SweepFilter, is_triangle_free
 
 
 def edge_index(i: int, j: int) -> int:
@@ -21,8 +21,6 @@ def admits(filt: SweepFilter, order: int, adj) -> bool:
     """Whether one labeled graph lies in the class `filt` names."""
     if filt.triangle_free and not is_triangle_free(order, adj):
         return False
-    if filt.bipartite and not is_bipartite(order, adj):
-        return False
     if filt.connected_only and not Graph(order, tuple(adj)).is_connected():
         return False
     return True
@@ -33,9 +31,9 @@ def labeled_graphs(order: int, filt: SweepFilter, j: int = 0, adj: tuple = (), m
     that `filt` admits and whose first j vertices induce the graph (mask, adj).
 
     Vertex j joins with a lower neighbourhood s, a subset of 0..j-1; its edges
-    are the mask bits from edge_index(0, j) on, so s shifts in whole.  Both
-    class filters are hereditary, so every prefix is pruned; connectivity is
-    decided at full order.
+    are the mask bits from edge_index(0, j) on, so s shifts in whole.  The
+    triangle-free filter is hereditary, so every prefix is pruned;
+    connectivity is decided at full order.
     """
     if j == order:
         if not filt.connected_only or Graph(order, adj).is_connected():
@@ -43,18 +41,15 @@ def labeled_graphs(order: int, filt: SweepFilter, j: int = 0, adj: tuple = (), m
         return
     bit = 1 << j
     shift = edge_index(0, j)
-    # triangle-free and bipartite graphs need s independent; reach[s] holds
-    # the vertices with a neighbour in s
-    independent = filt.triangle_free or filt.bipartite
+    # triangle-free graphs need s independent; reach[s] holds the vertices
+    # with a neighbour in s
     reach = [0]
-    for i in range(j if independent else 0):
+    for i in range(j if filt.triangle_free else 0):
         reach += [r | adj[i] for r in reach]
     for s in range(1 << j):
-        if independent and reach[s] & s:
+        if filt.triangle_free and reach[s] & s:
             continue
         grown = tuple(row | bit if s >> i & 1 else row for i, row in enumerate(adj)) + (s,)
-        if filt.bipartite and not is_bipartite(j + 1, grown):
-            continue
         yield from labeled_graphs(order, filt, j + 1, grown, mask | s << shift)
 
 

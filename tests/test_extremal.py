@@ -22,11 +22,9 @@ from dissoc import (
     count,
     cycle_graph,
     disjoint_union,
-    is_bipartite,
     is_triangle_free,
     k_star_graph,
     parse_graph6,
-    random_bipartite_graph,
     random_graph,
     serialize_graph6,
     sweep,
@@ -38,12 +36,14 @@ from dissoc import (
 from dissoc import extremal
 from dissoc.canonical import _least
 from dissoc.extremal import (
+    EDGE_PROBABILITIES,
     VerificationReport,
     Violation,
     _BOUNDS,
     _PINNED_MAXIMA,
     _below_path_bound,
     _equality_classes,
+    _random_triangle_free_graph,
     _within,
 )
 
@@ -53,7 +53,6 @@ from strategies import graphs
 FILTERS = {
     "all": SweepFilter(),
     "triangle-free": SweepFilter(triangle_free=True),
-    "bipartite": SweepFilter(bipartite=True),
     "connected": SweepFilter(connected_only=True),
 }
 
@@ -92,13 +91,6 @@ def test_triangle_free_predicate():
     assert is_triangle_free(6, complete_bipartite_graph(3, 3).adj)
 
 
-def test_bipartite_predicate():
-    assert is_bipartite(4, cycle_graph(4).adj)
-    assert not is_bipartite(5, cycle_graph(5).adj)
-    assert is_bipartite(6, complete_bipartite_graph(3, 3).adj)
-    assert not is_bipartite(3, complete_graph(3).adj)
-
-
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_generator_yields_exactly_the_admitted_graphs(name):
     filt = FILTERS[name]
@@ -120,7 +112,6 @@ def test_generator_yields_exactly_the_admitted_graphs(name):
 # labeled graphs per class for n = 0, 1, 2, ...; connected is A001187
 LABELED_CLASS_COUNTS = {
     "triangle-free": (1, 1, 2, 7, 41, 388, 5789, 133501),
-    "bipartite": (1, 1, 2, 7, 41, 376, 5177, 103237),
     "connected": (1, 1, 1, 4, 38, 728, 26704),
 }
 
@@ -149,7 +140,7 @@ def test_class_generator_counts_the_isomorphism_classes(label):
     filt = SweepFilter(
         triangle_free="triangle-free" in label, connected_only="connected" in label
     )
-    positional = SweepFilter("triangle-free" in label, False, "connected" in label)
+    positional = SweepFilter("triangle-free" in label, "connected" in label)
     assert positional == filt and hash(positional) == hash(filt)
     assert filt.label() == label
     got = tuple(
@@ -197,7 +188,7 @@ def test_class_representatives_are_the_canonical_forms(name, order):
     assert sum(math.factorial(order) // aut for _, aut in classes) == _labeled_count(name, order)
 
 
-@pytest.mark.parametrize("name", ["bipartite", "triangle-free"])
+@pytest.mark.parametrize("name", ["triangle-free"])
 def test_order7_class_orbits_partition_the_labeled_graphs(name):
     """At order 7 the labeled walk is checked against the relabellings of each
     representative rather than canonicalised graph by graph."""
@@ -285,9 +276,8 @@ def test_sweep_order6_unfiltered_maximum_is_15():
 def test_filter_class_containment_at_order5():
     all_max = sweep(5).max_value
     tf_max = sweep(5, SweepFilter(triangle_free=True)).max_value
-    bip_max = sweep(5, SweepFilter(bipartite=True)).max_value
     conn_max = sweep(5, SweepFilter(connected_only=True)).max_value
-    assert bip_max <= tf_max <= all_max
+    assert tf_max <= all_max
     assert conn_max <= all_max
 
 
@@ -496,6 +486,21 @@ def test_a_weakened_bound_in_the_table_is_reported(monkeypatch, label, weakened,
         assert "cycle-equality" in {v.check for v in paths_cycles.violations}
 
 
+def test_spot_checks_report_the_graphs_past_a_weakened_bound(monkeypatch):
+    # at base 3 both spot models draw triangle-free graphs past 3^(n/4)
+    monkeypatch.setitem(extremal._BOUNDS, "triangle-free", (3, 4, (2,)))
+    report = verify_asymptotic_bounds(3)
+    assert report.details["spot_checks"] == 410
+    found = [v for v in report.violations if v.check == "spot-bound"]
+    assert len(found) == 93
+    assert {v.detail.split(" order ")[0] for v in found} == {
+        "random graph", "random triangle-free graph"}
+    for v in found:
+        g = parse_graph6(v.graph6)
+        assert is_triangle_free(g.order, g.adj)
+        assert count(g).phi ** 4 > 3 ** g.order
+
+
 def test_bounds_report_every_graph_with_phi_max_above_phi(monkeypatch):
     clean = _small_bounds(order_max=4)
     real = extremal._phi_pair
@@ -540,18 +545,18 @@ def test_random_graph_is_seed_deterministic():
     assert a == b
 
 
-def test_random_bipartite_graph_is_bipartite():
+def test_random_triangle_free_graph_is_triangle_free():
     rng = random.Random(3)
-    for _ in range(20):
-        g = random_bipartite_graph(rng, 9, 0.6)
-        assert is_bipartite(g.order, g.adj)
+    for trial in range(60):
+        g = _random_triangle_free_graph(rng, 12, EDGE_PROBABILITIES[trial % 3])
+        assert is_triangle_free(g.order, g.adj), serialize_graph6(g)
 
 
 @settings(deadline=None, max_examples=30)
 @given(graphs(min_order=1, max_order=5))
 def test_sweep_filter_admits_matches_predicates(g):
-    filt = SweepFilter(triangle_free=True, bipartite=True)
-    expected = is_triangle_free(g.order, g.adj) and is_bipartite(g.order, g.adj)
+    filt = SweepFilter(triangle_free=True, connected_only=True)
+    expected = is_triangle_free(g.order, g.adj) and g.is_connected()
     assert admits(filt, g.order, g.adj) == expected
 
 
@@ -560,6 +565,7 @@ def test_sweep_filter_admits_matches_predicates(g):
     (["--orders", "2,x"], "argument --orders: expected a range"),
     (["--orders=-1"], "argument --orders: expected a range"),
     (["--orders", "33"], "error: order 33 exceeds the enumeration cap of 32"),
+    (["--filter", "bipartite"], "argument --filter: invalid choice: 'bipartite'"),
 ])
 def test_sweep_report_script_rejects_bad_orders_with_one_error_line(args, message):
     root = Path(__file__).resolve().parents[1]

@@ -24,9 +24,10 @@ def test_every_exported_name_resolves_once():
 def test_removed_layers_stay_removed():
     for name in ("FamilySpec", "build", "PivotPartition", "classify_by_pivot",
                  "BoundConstants", "BOUNDS", "SweepRefusedError", "OracleTimeoutError",
-                 "CANONICAL_ORDER_CAP"):
+                 "CANONICAL_ORDER_CAP", "is_bipartite", "random_bipartite_graph"):
         with pytest.raises(AttributeError):
             getattr(dissoc, name)
+    assert dissoc.SweepFilter._fields == ("triangle_free", "connected_only")
 
 
 # Run in a fresh interpreter: pytest and hypothesis import dataclasses
