@@ -161,15 +161,19 @@ def count(g: Graph) -> CountResult:
 
 def _pivot_partition(family: Sequence[int], adj: Sequence[int], v: int) -> tuple[int, int, int]:
     """Split a family of vertex masks by the status of pivot v in each set:
-    (excluded, isolated in the set, paired with one neighbour in the set)."""
+    (excluded, isolated in the set, paired with one neighbour in the set).
+    A set giving v two or more neighbours is in no part, and the parts then
+    sum to less than the family's size."""
     vb = 1 << v
-    excluded = paired = 0
+    excluded = isolated = paired = 0
     for m in family:
         if not m & vb:
             excluded += 1
-        elif adj[v] & m:
+        elif not adj[v] & m:
+            isolated += 1
+        elif (adj[v] & m).bit_count() == 1:
             paired += 1
-    return excluded, len(family) - excluded - paired, paired
+    return excluded, isolated, paired
 
 
 def _lex_less(a: int, b: int) -> bool:

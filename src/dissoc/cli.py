@@ -3,7 +3,8 @@
 Graphs travel as graph6 lines (stdin or file, one per line).  Output is a
 human table, a single JSON document, or CSV with a fixed header.  Bad input
 lines are reported with their line number and skipped; the exit status is
-zero exactly when no errors and no verification violations occurred.
+zero exactly when no errors and no verification violations occurred, and 141
+(128 + SIGPIPE) when the reader closes stdout before the output ends.
 
 A command loads only what it runs: `extremal` (and with it `canonical`) is
 imported by the first lookup of a verify suite, through this module's
@@ -13,6 +14,7 @@ imported by the first lookup of a verify suite, through this module's
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -145,32 +147,13 @@ def _parse_lines(source: str | None) -> tuple[list[tuple[int, str, object]], lis
 _BATCH = 4096
 
 
-class _Batches:
-    """Stdout text as a stream of strings, written _BATCH strings at a time,
-    however stdout is buffered.  At most one batch is held.  sys.stdout is
-    looked up at each write, so redirected and captured streams receive it."""
-
-    def __init__(self) -> None:
-        self.pending: list[str] = []
-
-    def add(self, pieces: Iterable[str]) -> None:
-        it = iter(pieces)
-        while True:
-            self.pending.extend(islice(it, _BATCH - len(self.pending)))
-            if len(self.pending) < _BATCH:
-                return
-            self.flush()
-
-    def flush(self) -> None:
-        if self.pending:
-            sys.stdout.write("".join(self.pending))
-            self.pending = []
-
-
 def _write(pieces: Iterable[str]) -> None:
-    out = _Batches()
-    out.add(pieces)
-    out.flush()
+    """Write the strings to stdout _BATCH at a time, however stdout is
+    buffered.  sys.stdout is looked up at each write, so redirected and
+    captured streams receive it."""
+    it = iter(pieces)
+    while batch := list(islice(it, _BATCH)):
+        sys.stdout.write("".join(batch))
 
 
 def _json_text(doc: dict) -> Iterator[str]:
@@ -260,18 +243,16 @@ def _cmd_enumerate(args) -> int:
     # csv and table rows are written as each family is found, so only one
     # family is held at a time
     _line_errors(errors)
-    out = _Batches()
-    if args.format == "csv":
-        out.add(("graph6,set_index,size,vertices\n",))
-    rows = _csv_sets if args.format == "csv" else _table_sets
+    csv = args.format == "csv"
+    header = ["graph6,set_index,size,vertices\n"] if csv else []
+    rows = _csv_sets if csv else _table_sets
     for r in families():
-        out.add(rows(r))
-        if r["truncated"] and args.format == "csv":
-            # the stderr notice follows the graph's rows
-            out.flush()
+        _write(chain(header, rows(r)))
+        header = []
+        if r["truncated"] and csv:
             print(f"{r['graph6']}: truncated at {len(r['sets'])} of {r['phi']} sets",
                   file=sys.stderr)
-    out.flush()
+    _write(header)
     return 1 if errors else 0
 
 
@@ -418,7 +399,19 @@ _COMMAND_ERRORS = (
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send stdout to devnull so the
+        # interpreter's last flush stays quiet, and exit as SIGPIPE would
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:
+            pass  # no descriptor, as under a test's capture
+        else:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
     except _COMMAND_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

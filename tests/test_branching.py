@@ -105,6 +105,13 @@ def test_classify_single_vertex():
     assert _partition(complete_graph(1), 0) == (0, 1, 0)
 
 
+def test_partition_leaves_out_a_set_giving_the_pivot_two_neighbours():
+    # P3 (0-1-2): its family {0,1}, {0,2}, {1,2} and the non-dissociation set {0,1,2}
+    parts = _pivot_partition([0b011, 0b101, 0b110, 0b111], path_graph(3).adj, 1)
+    assert parts == (1, 0, 2)
+    assert sum(parts) == 3
+
+
 def test_maximum_set_examples():
     assert maximum_dissociation_set(path_graph(4)) == {0, 1, 3}
     assert maximum_dissociation_set(complete_graph(5)) == {0, 1}

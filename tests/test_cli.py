@@ -548,21 +548,29 @@ BATCH_INPUT = "\n".join([serialize_graph6(complete_graph(5)), "!!",
                          serialize_graph6(path_graph(12)), "@"]) + "\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["count", "--format", "json"],
-    ["max", "--format", "json"],
-    ["enumerate", "--format", "csv"],
-    ["enumerate", "--format", "table", "--limit", "3"],
-    ["gen", "path:1", "kstar:5,2", "union:(cycle:4;cycle:4)"],
-    ["verify", "families", "--format", "json"],
+# fifty small graphs, each with more than two sets, and a malformed line
+MANY_GRAPHS = "".join(serialize_graph6(cycle_graph(n)) + "\n" for n in range(4, 14)) * 5 + "!!\n"
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    *(pytest.param(argv, BATCH_INPUT, id=f"argv{i}") for i, argv in enumerate([
+        ["count", "--format", "json"],
+        ["max", "--format", "json"],
+        ["enumerate", "--format", "csv"],
+        ["enumerate", "--format", "table", "--limit", "3"],
+        ["gen", "path:1", "kstar:5,2", "union:(cycle:4;cycle:4)"],
+        ["verify", "families", "--format", "json"],
+    ])),
+    pytest.param(["enumerate", "--format", "csv", "--limit", "2"], MANY_GRAPHS,
+                 id="many-graphs-limit"),
 ])
-def test_output_bytes_do_not_depend_on_an_unbuffered_stdout(argv):
+def test_output_bytes_do_not_depend_on_an_unbuffered_stdout(argv, stdin):
     def run(unbuffered):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.run([sys.executable, "-m", "dissoc.cli", *argv],
-                              input=BATCH_INPUT.encode(), capture_output=True, env=env)
+                              input=stdin.encode(), capture_output=True, env=env)
         # verify reports its own run time
         out = re.sub(rb'"elapsed_ms": [0-9.]+', b'"elapsed_ms": 0', proc.stdout)
         return proc.returncode, out, proc.stderr
@@ -595,6 +603,50 @@ def test_stdout_is_written_in_batches(argv, lines, writes, monkeypatch):
     assert main(argv) == 0
     assert len(out.getvalue().splitlines()) == lines
     assert out.writes == writes
+
+
+def test_each_family_is_written_without_per_row_writes(monkeypatch):
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(MANY_GRAPHS.encode())))
+    assert main(["enumerate", "--format", "csv"]) == 1
+    assert out.getvalue().count("\n") > 50 * 2
+    assert out.writes <= 50
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_pipe_ends_the_command_quietly(unbuffered, tmp_path):
+    # the 10^4 rows of 4K5 fill more than a pipe buffer, so the command is
+    # still writing when the reader goes
+    source = tmp_path / "input.g6"
+    source.write_text(serialize_graph6(parse_family_string(
+        "union:(complete:5;complete:5;complete:5;complete:5)")) + "\n!!\n")
+    argv = [sys.executable, "-m", "dissoc.cli", "enumerate", "--format", "csv", str(source)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    line_errors = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                 env=env).stderr
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"graph6,set_index,size,vertices\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert err == line_errors
+    assert line_errors.startswith(b"line 2: ")
+
+
+def test_a_pipe_closed_before_the_first_write_ends_the_command_quietly():
+    # gen's one line waits in stdout's buffer until main flushes it, so the
+    # interpreter's last flush meets the closed pipe too
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with os.fdopen(write_end, "wb") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "dissoc.cli", "gen", "path:1"],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_truncation_notice_follows_its_rows(monkeypatch):

@@ -367,6 +367,23 @@ def test_recurrences_small():
     assert report.passed
 
 
+def test_pivot_partition_total_reports_a_set_giving_the_pivot_two_neighbours(monkeypatch):
+    # the family of P3 (0-1-2) gains {0, 1, 2}, which gives v = 1 two
+    # neighbours; the deleted-subgraph searches stay as they are
+    real = extremal.maximal_masks
+
+    def with_the_whole_path(order, adj, *within):
+        masks = real(order, adj, *within)
+        return masks if within else [*masks, 0b111]
+
+    monkeypatch.setattr(extremal, "maximal_masks", with_the_whole_path)
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    report = VerificationReport("recurrences")
+    extremal._check_pivot_recurrence(p3, report, serialize_graph6(p3))
+    totals = [v.detail for v in report.violations if v.check == "pivot-partition-total"]
+    assert totals == ["Bg v=1: partition parts sum to 3, phi=4"]
+
+
 def test_bounds_small():
     report = verify_asymptotic_bounds(order_max=4)
     assert report.passed
