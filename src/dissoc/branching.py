@@ -125,7 +125,8 @@ class CountResult(NamedTuple):
 
 def _component_families(g: Graph) -> list[list[int]]:
     """The maximal dissociation sets of each connected component of g, in
-    search order: count needs no order, and enumerate_maximal's family sorts.
+    search order: count needs no order, and DissociationFamily.from_masks
+    orders the product of the parts.
 
     A maximal set of g is exactly a union of one maximal set per component,
     so callers combine the parts instead of searching g as a whole.
@@ -134,12 +135,11 @@ def _component_families(g: Graph) -> list[list[int]]:
 
 
 def enumerate_maximal(g: Graph) -> DissociationFamily:
-    """Exactly the maximal dissociation sets of g, in canonical family order."""
+    """Exactly the maximal dissociation sets of g, in canonical family order:
+    the product of its components' families, which from_masks orders by
+    merging sorted runs rather than sorting the product from scratch."""
     check_enumeration_order(g.order)
-    masks = [0]
-    for part in _component_families(g):
-        masks = [a | b for a in masks for b in part]
-    return DissociationFamily.from_masks(g.order, masks)
+    return DissociationFamily.from_masks(g.order, *_component_families(g))
 
 
 def count(g: Graph) -> CountResult:

@@ -10,7 +10,8 @@ it rather than return a truncated answer.
 
 The oracle and the enumerator both hand their vertex bitmasks to
 DissociationFamily, which keeps them as masks in canonical order and decodes
-a set into its sorted member tuple only when asked.  `_members` decodes a
+a set into its sorted member tuple only when asked.  The oracle hands over
+one part, the enumerator one part per connected component.  `_members` decodes a
 mask below 2^32 (every caller is capped at ENUMERATION_ORDER_CAP = 32) by
 four lookups in per-byte tables of member tuples, built once at import.
 """
@@ -21,7 +22,7 @@ import time
 from array import array
 from functools import cached_property
 from itertools import repeat
-from operator import and_, lshift, or_
+from operator import and_, lshift, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .graphs import Graph, TimeLimitError, UnsupportedSizeError, _Frozen
@@ -64,17 +65,27 @@ def _members(mask: int) -> tuple[int, ...]:
     return _M0[mask & 255] + _M1[mask >> 8 & 255] + _M2[mask >> 16 & 255] + _M3[mask >> 24]
 
 
-# _FLIP[b]: the complement of the byte b with its 8 bits in reverse order
-_FLIP = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+# _REV[b]: the byte b with its 8 bits in reverse order
+_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _flip(words: array) -> array:
-    """Each 32-bit word as its complement, bit-reversed: flipping twice gives
-    the word back.  Reversing the bits of every byte and then the byte order
-    reverses the word on either endianness."""
-    out = array("I", words.tobytes().translate(_FLIP))
+def _rev(words: array) -> array:
+    """Each 32-bit word with its bits in reverse order.  Reversing the bits of
+    every byte and then the byte order reverses the word on either
+    endianness."""
+    out = array("I", words.tobytes().translate(_REV))
     out.byteswap()
     return out
+
+
+def _keys(masks: Iterable[int]) -> list[int]:
+    """Each distinct mask's sort key, size << 32 minus its bit-reversed mask.
+    Among sets of one size the least vertex where two differ is the highest
+    differing bit of the reversed masks, so the set holding it has the lesser
+    key, as the member lists order them.  Keys of sets on disjoint vertex sets
+    add up to the key of their union."""
+    unique = array("I", set(masks))  # 'I' is 32 bits on CPython's platforms
+    return list(map(sub, map(lshift, map(int.bit_count, unique), repeat(32)), _rev(unique)))
 
 
 def _is_dissociation_mask(adj: Sequence[int], f: int) -> bool:
@@ -110,7 +121,9 @@ class DissociationFamily(_Frozen):
     """All maximal dissociation sets of one graph, deduplicated and in
     canonical order: by size, then lexicographically by sorted member list.
     Each set is held as a vertex bitmask below 2^32; iteration and `sets`
-    decode the masks into sorted member tuples by table lookup (`_members`).
+    decode the masks into sorted member tuples by table lookup (`_members`),
+    and a membership test compares masks without decoding.  `from_masks`
+    builds the family of a disjoint union from its components' families.
     Equality and hashing compare the order and the mask tuple."""
 
     _fields = ("source_order", "masks")
@@ -122,15 +135,31 @@ class DissociationFamily(_Frozen):
         object.__setattr__(self, "masks", masks)
 
     @classmethod
-    def from_masks(cls, order: int, masks: Iterable[int]) -> "DissociationFamily":
-        # One int key per set: its size above its flipped mask.  Among sets of
-        # one size the least vertex where two differ is the highest differing
-        # bit of the bit-reversed masks, and complementing puts the set that
-        # holds it first, as the member lists order them.  The low 32 bits of
-        # each sorted key flip back to its mask.
-        unique = array("I", set(masks))  # 'I' is 32 bits on CPython's platforms
-        keys = sorted(map(or_, map(lshift, map(int.bit_count, unique), repeat(32)), _flip(unique)))
-        return cls(order, tuple(_flip(array("I", map(and_, keys, repeat(0xFFFFFFFF))))))
+    def from_masks(cls, order: int, *parts: Iterable[int]) -> "DissociationFamily":
+        """The family of every union of one set from each part, where the
+        parts lie on disjoint vertex sets; with one part, that part's sets.
+
+        Each part is deduplicated on its own, which is enough: unions of
+        distinct sets from disjoint parts are distinct.  Keys add over parts
+        (see `_keys`), so each set p of a new part turns the sorted keys so
+        far into one sorted run, and the sort merges those runs.  A part of
+        one set adds the same key to every union and so keeps their order:
+        those parts fold into one key added last.  A key k decodes to the
+        reversed mask -k & 0xFFFFFFFF."""
+        base = 0  # the key of the one-set parts' union
+        keys = None
+        for part in map(_keys, parts):
+            if len(part) == 1:
+                base += part[0]
+            elif keys is None:
+                keys = sorted(part)
+            else:
+                keys = sorted([p + k for p in part for k in keys])
+        if keys is None:
+            keys = [base]
+        elif base:
+            keys = [k + base for k in keys]
+        return cls(order, tuple(_rev(array("I", map(and_, map(neg, keys), repeat(0xFFFFFFFF))))))
 
     @cached_property
     def sets(self) -> tuple[tuple[int, ...], ...]:
@@ -143,7 +172,12 @@ class DissociationFamily(_Frozen):
         return map(_members, self.masks)
 
     def __contains__(self, item: Iterable[int]) -> bool:
-        return tuple(sorted(set(item))) in self.sets
+        mask = 0
+        for v in item:
+            if not 0 <= v < 32:
+                return False  # no mask holds it
+            mask |= 1 << v
+        return mask in self.masks
 
 
 def _scan(g: Graph) -> tuple[list[int], int, int]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dissoc import (
     CountResult,
+    DissociationFamily,
     Graph,
     UnsupportedSizeError,
     complete_bipartite_graph,
@@ -24,7 +25,8 @@ from dissoc import (
     maximum_dissociation_set,
     path_graph,
 )
-from dissoc.branching import _pivot_partition, candidate_masks
+from dissoc.branching import _component_families, _pivot_partition, candidate_masks
+from dissoc.cli import parse_family_string
 
 from labeled import delete_vertices_mapped
 from strategies import graphs
@@ -66,6 +68,51 @@ def test_equivalence_on_random_graphs():
         n = rng.randint(5, 10)
         g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
         assert enumerate_maximal(g) == enumerate_maximal_bruteforce(g)
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(g.order) for v in range(u) if g.adj[u] >> v & 1]
+    return Graph.from_edges(g.order, edges)
+
+
+def test_equivalence_on_relabelled_disjoint_unions():
+    # components with two or more maximal sets each, on interleaved labels, so
+    # the enumerator merges runs of a product; an isolated vertex or a lone
+    # edge sometimes adds a one-set component
+    rng = random.Random(28)
+    for _ in range(30):
+        blocks = []
+        while len(blocks) < rng.randint(2, 3):
+            n = rng.randint(3, 5)
+            b = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            if count(b).phi >= 2:
+                blocks.append(b)
+        blocks += rng.choice([[], [complete_graph(1)], [complete_graph(2)]])
+        g = _relabelled(disjoint_union(*blocks), rng)
+        assert sum(len(part) >= 2 for part in _component_families(g)) >= 2
+        assert enumerate_maximal(g) == enumerate_maximal_bruteforce(g), g
+
+
+@pytest.mark.parametrize(
+    "spec, phi",
+    [
+        ("path:26", 5185),
+        ("cycle:24", 3281),
+        ("union:(complete:5;complete:5;complete:5;complete:5;complete:5)", 100000),
+        ("union:(kmn:3,3;cycle:4;cycle:4;cycle:4;cycle:4)", 14256),
+        ("union:(kstar:5,2;kstar:5,1;complete:6;kstar:4,1;kstar:4,2)", 54000),
+    ],
+)
+def test_large_families_equal_the_sort_of_their_product(spec, phi):
+    g = parse_family_string(spec)
+    product = [0]
+    for part in _component_families(g):
+        product = [a | b for a in product for b in part]
+    family = enumerate_maximal(g)
+    assert len(family) == phi
+    assert family == DissociationFamily.from_masks(g.order, product)
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,50 @@ def test_family_order_is_size_then_member_list(masks):
     assert family == DissociationFamily.from_masks(32, reversed(masks))
 
 
+def test_membership_compares_masks_without_decoding_the_family():
+    family = enumerate_maximal_bruteforce(cycle_graph(4))
+    assert (1, 0) in family and [3, 3, 2] in family
+    assert [0, 1, 2] not in family and [0, 32] not in family and [-1, 0] not in family
+    assert "sets" not in vars(family)
+
+
+@st.composite
+def _disjoint_parts(draw):
+    """Up to four parts of up to five masks each, on disjoint vertex sets
+    whose vertices interleave: each of the 32 vertices joins one part or
+    none, and a part's masks are drawn inside its vertices.  Empty parts,
+    one-set parts and repeated masks all occur."""
+    count = draw(st.integers(0, 4))
+    owner = draw(st.lists(st.integers(-1, count - 1), min_size=32, max_size=32))
+    parts = []
+    for i in range(count):
+        within = sum(1 << v for v, o in enumerate(owner) if o == i)
+        parts.append([m & within for m in draw(st.lists(_MASKS, max_size=5))])
+    return parts
+
+
+@given(_disjoint_parts())
+@example([])
+@example([[5], [], [2, 8]])
+@example([[1, 1], [2, 8], [4]])
+@example([[0b0101, 0b0001], [0b1010, 0b1000], [1 << 31]])
+def test_a_family_of_parts_is_the_family_of_their_product(parts):
+    product = [0]
+    for part in parts:
+        product = [a | b for a in product for b in part]
+    expected = sorted(map(_members, set(product)))
+    expected.sort(key=len)
+    family = DissociationFamily.from_masks(32, *parts)
+    assert family == DissociationFamily.from_masks(32, product)
+    assert list(family) == expected
+
+
+def test_an_empty_part_gives_the_empty_family_and_no_part_the_empty_set():
+    assert DissociationFamily.from_masks(4, [1, 2], []).masks == ()
+    assert DissociationFamily.from_masks(4).masks == (0,)
+    assert DissociationFamily.from_masks(4, [1, 1], [4]).masks == (5,)
+
+
 def _members_by_bit_loop(mask):
     out = []
     while mask:
