@@ -136,8 +136,7 @@ def _component_families(g: Graph) -> list[list[int]]:
 
 def enumerate_maximal(g: Graph) -> DissociationFamily:
     """Exactly the maximal dissociation sets of g, in canonical family order:
-    the product of its components' families, which from_masks orders by
-    merging sorted runs rather than sorting the product from scratch."""
+    the product of its components' families, which from_masks merges."""
     check_enumeration_order(g.order)
     return DissociationFamily.from_masks(g.order, *_component_families(g))
 

@@ -11,9 +11,10 @@ it rather than return a truncated answer.
 The oracle and the enumerator both hand their vertex bitmasks to
 DissociationFamily, which keeps them as masks in canonical order and decodes
 a set into its sorted member tuple only when asked.  The oracle hands over
-one part, the enumerator one part per connected component.  `_members` decodes a
-mask below 2^32 (every caller is capped at ENUMERATION_ORDER_CAP = 32) by
-four lookups in per-byte tables of member tuples, built once at import.
+one part, the enumerator one part per connected component.  `_members`
+decodes a mask below 2^32 (every caller is capped at ENUMERATION_ORDER_CAP =
+32) by four lookups in per-byte tables of member tuples, built once at
+import.
 """
 
 from __future__ import annotations

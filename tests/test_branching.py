@@ -70,27 +70,23 @@ def test_equivalence_on_random_graphs():
         assert enumerate_maximal(g) == enumerate_maximal_bruteforce(g)
 
 
-def _relabelled(g: Graph, rng: random.Random) -> Graph:
-    perm = list(range(g.order))
-    rng.shuffle(perm)
-    edges = [(perm[u], perm[v]) for u in range(g.order) for v in range(u) if g.adj[u] >> v & 1]
-    return Graph.from_edges(g.order, edges)
-
-
 def test_equivalence_on_relabelled_disjoint_unions():
     # components with two or more maximal sets each, on interleaved labels, so
     # the enumerator merges runs of a product; an isolated vertex or a lone
     # edge sometimes adds a one-set component
     rng = random.Random(28)
     for _ in range(30):
-        blocks = []
-        while len(blocks) < rng.randint(2, 3):
+        blocks, want = [], rng.randint(2, 3)
+        while len(blocks) < want:
             n = rng.randint(3, 5)
             b = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
             if count(b).phi >= 2:
                 blocks.append(b)
         blocks += rng.choice([[], [complete_graph(1)], [complete_graph(2)]])
-        g = _relabelled(disjoint_union(*blocks), rng)
+        u = disjoint_union(*blocks)
+        perm = list(range(u.order))
+        rng.shuffle(perm)
+        g = Graph.from_edges(u.order, [(perm[i], perm[j]) for i, j in u.edges()])
         assert sum(len(part) >= 2 for part in _component_families(g)) >= 2
         assert enumerate_maximal(g) == enumerate_maximal_bruteforce(g), g
 
