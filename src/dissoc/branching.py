@@ -9,7 +9,8 @@ set of Bron-Kerbosch, the recursion carries the excluded vertices that the
 final set must still block (give two neighbours in the set, or one neighbour
 that already has its partner) and cuts a branch as soon as one of them no
 longer can be.  Every leaf is therefore a distinct maximal set, and no filter
-or deduplication follows the search.
+or deduplication follows the search.  The maximum-set search is the same
+recursion with a cut on size.
 """
 
 from __future__ import annotations
@@ -20,22 +21,14 @@ from .graphs import Graph, check_enumeration_order
 from .oracle import DissociationFamily, _members
 
 
-def _search(
-    adj: Sequence[int], rmask: int, leaf: Callable[[int], int], maximal: bool = True
-) -> None:
+def _search(adj: Sequence[int], rmask: int, leaf: Callable[[int], int]) -> None:
     """Call `leaf` once with each maximal dissociation set of the subgraph
     induced by `rmask`.
 
     `leaf` returns the least set size still wanted; branches whose taken plus
-    residual vertices fall short of it are cut.  With `maximal` false the
-    excluded vertices are not tracked, so leaves may also be non-maximal sets.
-    The size-bounded search runs that way, which pays on small graphs only:
-    untracked took 0.17 s against 0.22-0.27 s tracked on 2,970 G(n, p) graphs
-    of order 8..18, but 0.031-0.038 s against 0.011 s on P26, C24, 5K5,
-    K3,3 + 4C4 and K5* + K5* + K6 + K4* + K4* (minima of 5 runs, 2-core Xeon).
+    residual vertices fall short of it are cut.
     """
     floor = 0
-    track = -1 if maximal else 0
 
     def rec(rmask: int, partial: int, x: int) -> None:
         nonlocal floor
@@ -75,9 +68,9 @@ def _search(
         nv = adj[best_v] & rmask
         size = (partial | rmask).bit_count()
         if size > floor:
-            rec(rmask & ~vb, partial, x | vb & track)
+            rec(rmask & ~vb, partial, x | vb)
         if size - best_d >= floor:
-            rec(rmask & ~(nv | vb), partial | vb, x | nv & track)
+            rec(rmask & ~(nv | vb), partial | vb, x | nv)
         m = nv
         while m:
             ub = m & -m
@@ -186,10 +179,10 @@ def _lex_less(a: int, b: int) -> bool:
 def maximum_dissociation_set(g: Graph) -> set[int]:
     """The lexicographically least dissociation set of maximum size.
 
-    Every maximum set is maximal, so the enumerator's search finds them all;
-    once a set is found, branches that cannot reach its size are cut.  The
-    answer is the union of each connected component's answer: sizes add, and
-    the least vertex where two maximum sets differ decides within one part.
+    Every maximum set is maximal, so the enumerator's own search finds them
+    all; once a set is found, branches that cannot reach its size are cut.
+    The answer is the union of each connected component's answer: sizes add,
+    and the least vertex where two maximum sets differ decides within one part.
     """
     check_enumeration_order(g.order)
     out = 0
@@ -205,6 +198,6 @@ def maximum_dissociation_set(g: Graph) -> set[int]:
                 best_mask = f
             return best_size
 
-        _search(g.adj, comp, leaf, maximal=False)
+        _search(g.adj, comp, leaf)
         out |= best_mask
     return set(_members(out))

@@ -127,7 +127,7 @@ def _read_graph_lines(source: str | None) -> list[tuple[int, bytes]]:
     return [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
 
 
-def _parse_lines(source: str | None) -> tuple[list[tuple[int, str, object]], list[dict]]:
+def _parse_lines(source: str | None) -> tuple[list[tuple[str, Graph]], list[dict]]:
     """Parse each input line; collect per-line errors without aborting."""
     parsed = []
     errors = []
@@ -138,7 +138,7 @@ def _parse_lines(source: str | None) -> tuple[list[tuple[int, str, object]], lis
         except (Graph6Error, UnsupportedSizeError) as exc:
             errors.append({"line": lineno, "error": str(exc)})
             continue
-        parsed.append((lineno, line.decode("ascii"), g))  # graph6 bytes are ASCII
+        parsed.append((line.decode("ascii"), g))  # graph6 bytes are ASCII
     return parsed, errors
 
 
@@ -196,7 +196,7 @@ def _emit_rows(fmt: str, command: str, rows: list[dict], columns: Sequence[str],
 
 def _cmd_count(args) -> int:
     parsed, errors = _parse_lines(args.input)
-    rows = [{"graph6": text, "n": g.order, **count(g)._asdict()} for _, text, g in parsed]
+    rows = [{"graph6": text, "n": g.order, **count(g)._asdict()} for text, g in parsed]
     _emit_rows(args.format, "count", rows, ("graph6", "n", "phi", "phi_max", "psi"), errors)
     return 1 if errors else 0
 
@@ -230,7 +230,7 @@ def _cmd_enumerate(args) -> int:
     limit = args.limit
 
     def families() -> Iterator[dict]:
-        for _, text, g in parsed:
+        for text, g in parsed:
             masks = enumerate_maximal(g).masks
             truncated = limit is not None and len(masks) > limit
             yield {"graph6": text, "n": g.order, "phi": len(masks),
@@ -259,7 +259,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_max(args) -> int:
     parsed, errors = _parse_lines(args.input)
     rows = []
-    for _, text, g in parsed:
+    for text, g in parsed:
         best = sorted(maximum_dissociation_set(g))
         rows.append(
             {"graph6": text, "n": g.order, "psi": len(best),

@@ -67,7 +67,10 @@ def test_equivalence_on_random_graphs():
     for _ in range(60):
         n = rng.randint(5, 10)
         g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
-        assert enumerate_maximal(g) == enumerate_maximal_bruteforce(g)
+        oracle = enumerate_maximal_bruteforce(g)
+        assert enumerate_maximal(g) == oracle
+        psi = max(map(len, oracle))
+        assert sorted(maximum_dissociation_set(g)) == list(min(s for s in oracle if len(s) == psi))
 
 
 def test_equivalence_on_relabelled_disjoint_unions():
@@ -109,6 +112,10 @@ def test_large_families_equal_the_sort_of_their_product(spec, phi):
     family = enumerate_maximal(g)
     assert len(family) == phi
     assert family == DissociationFamily.from_masks(g.order, product)
+    # the family runs by size, then lexicographically
+    psi = family.masks[-1].bit_count()
+    first = next(m for m in family.masks if m.bit_count() == psi)
+    assert sum(1 << v for v in maximum_dissociation_set(g)) == first
 
 
 @pytest.mark.parametrize(
