@@ -2,8 +2,9 @@
 """Exhaustive extremal sweeps over a range of orders, printed as a table.
 
 Usage:
-    python scripts/sweep_report.py [--orders 1-7] [--filter all|triangle-free|connected]
-                                   [--quantity phi|phi_max]
+    python scripts/sweep_report.py [--orders 1-7]
+        [--filter all|triangle-free|connected|triangle-free+connected]
+        [--quantity phi|phi_max]
 
 Sweeps visit one graph per isomorphism class; "scanned" counts the labeled
 graphs those classes stand for.  "seconds" is the wall time of each sweep()
@@ -40,11 +41,7 @@ def parse_orders(text: str) -> list[int]:
     return orders
 
 
-FILTERS = {
-    "all": SweepFilter(),
-    "triangle-free": SweepFilter(triangle_free=True),
-    "connected": SweepFilter(connected_only=True),
-}
+FILTERS = {f.label(): f for f in (SweepFilter(t, c) for t in (False, True) for c in (False, True))}
 
 
 def main() -> int:

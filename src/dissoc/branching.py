@@ -171,8 +171,6 @@ def _pivot_partition(family: Sequence[int], adj: Sequence[int], v: int) -> tuple
 def _lex_less(a: int, b: int) -> bool:
     """Sorted-member-list lexicographic order for equal-size vertex sets."""
     d = a ^ b
-    if d == 0:
-        return False
     return bool(a & (d & -d))
 
 

@@ -37,21 +37,23 @@ from .graphs import (
 )
 from .oracle import _byte_tables, _members
 
-VERIFY_SUITES = ("bounds", "families", "recurrences", "paths-cycles", "all")
+# verify suites: the extremal function each runs, and its options
+_SUITES = {
+    "bounds": ("verify_asymptotic_bounds", lambda a: {"order_max": a.order_max, "seed": a.seed}),
+    "families": ("verify_family_values", lambda a: {"max_t": a.t_max}),
+    "recurrences": ("verify_recurrences", lambda a: {"pivot_trials": a.trials, "seed": a.seed}),
+    "paths-cycles": ("verify_path_cycle_bounds", lambda a: {"n_max": a.n_max}),
+}
 
 
 def __getattr__(name: str) -> object:
-    """The verify_* suites of extremal, imported on first lookup and then
-    cached here, so only `dissoc verify` loads extremal."""
-    if not name.startswith("verify_"):
+    """The extremal functions of the verify suites, imported on first lookup
+    and then cached here, so only `dissoc verify` loads extremal."""
+    if name not in {fn for fn, _ in _SUITES.values()}:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import extremal
     value = globals()[name] = getattr(extremal, name)
     return value
-
-
-class SpecGrammarError(ValueError):
-    """A family spec string does not match the gen grammar."""
 
 
 # gen family kinds: (number of parameters, builder)
@@ -72,7 +74,7 @@ def parse_family_string(text: str) -> Graph:
     if text.startswith("union:"):
         body = text[len("union:"):]
         if not (body.startswith("(") and body.endswith(")")):
-            raise SpecGrammarError(f"union body must be parenthesised: {text!r}")
+            raise FamilySpecError(f"union body must be parenthesised: {text!r}")
         inner = body[1:-1]
         parts = []
         depth = 0
@@ -88,50 +90,48 @@ def parse_family_string(text: str) -> Graph:
         parts.append(inner[start:])
         parts = [p for p in parts if p.strip()]
         if not parts:
-            raise SpecGrammarError(f"union needs at least one member spec: {text!r}")
+            raise FamilySpecError(f"union needs at least one member spec: {text!r}")
         try:
             members = [parse_family_string(p) for p in parts]
         except RecursionError:
-            raise SpecGrammarError("unions nest too deeply") from None
+            raise FamilySpecError("unions nest too deeply") from None
         _check_short_form(sum(g.order for g in members))
         return disjoint_union(*members)
     if ":" not in text:
-        raise SpecGrammarError(f"expected kind:params, got {text!r}")
+        raise FamilySpecError(f"expected kind:params, got {text!r}")
     kind, _, params = text.partition(":")
     try:
         numbers = [int(tok) for tok in params.split(",")]
     except ValueError:
-        raise SpecGrammarError(f"non-integer parameter in {text!r}") from None
+        raise FamilySpecError(f"non-integer parameter in {text!r}") from None
     if kind not in _FAMILIES:
-        raise SpecGrammarError(f"unknown family kind {kind!r} in {text!r}")
+        raise FamilySpecError(f"unknown family kind {kind!r} in {text!r}")
     arity, builder = _FAMILIES[kind]
     if len(numbers) != arity:
-        raise SpecGrammarError(
+        raise FamilySpecError(
             f"{kind} takes {arity} parameter(s), got {len(numbers)} in {text!r}"
         )
     _check_short_form(sum(numbers) if kind == "kmn" else numbers[0])
     return builder(*numbers)
 
 
-def _read_graph_lines(source: str | None) -> list[tuple[int, bytes]]:
-    """(line number, line stripped of ASCII whitespace) for every nonempty
-    input line, read as bytes so that no locale touches it.  Only \\n, \\r\\n
-    and \\r end a line; any other separator stays in its line and fails
-    graph6 decoding there."""
-    if source is None or source == "-":
+def _parse_lines(source: str) -> tuple[list[tuple[str, Graph]], list[dict]]:
+    """Parse each nonempty input line, stripped of ASCII whitespace; collect
+    per-line errors with line numbers without aborting.  Input is read as
+    bytes, so no locale touches it, and only \\n, \\r\\n and \\r end a line:
+    any other separator stays in its line and fails graph6 decoding there."""
+    if source == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(source, "rb") as fh:
             data = fh.read()
-    raw = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
-    return [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
-
-
-def _parse_lines(source: str | None) -> tuple[list[tuple[str, Graph]], list[dict]]:
-    """Parse each input line; collect per-line errors without aborting."""
     parsed = []
     errors = []
-    for lineno, line in _read_graph_lines(source):
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
         try:
             g = parse_graph6(line)
             check_enumeration_order(g.order)
@@ -177,27 +177,33 @@ def _csv(rows: list[dict], columns: Sequence[str]) -> Iterator[str]:
         yield ",".join(str(r[c]) for c in columns) + "\n"
 
 
-def _json_results(command: str, rows: list[dict], errors: list[dict]) -> None:
-    _write(_json_text({"command": command, "results": rows, "errors": errors}))
-
-
 def _line_errors(errors: list[dict]) -> None:
     for err in errors:
         print(f"line {err['line']}: {err['error']}", file=sys.stderr)
 
 
-def _emit_rows(fmt: str, command: str, rows: list[dict], columns: Sequence[str], errors: list[dict]) -> None:
-    if fmt == "json":
-        _json_results(command, rows, errors)
+def _max_row(g: Graph) -> dict:
+    best = sorted(maximum_dissociation_set(g))
+    return {"psi": len(best), "vertices": " ".join(map(str, best))}
+
+
+# count and max: each graph's columns after graph6 and n, and their names.  The
+# branching functions are looked up at call time, so a rebound cli.count runs.
+_ROWS = {
+    "count": (lambda g: count(g)._asdict(), ("phi", "phi_max", "psi")),
+    "max": (_max_row, ("psi", "vertices")),
+}
+
+
+def _cmd_rows(args) -> int:
+    row, columns = _ROWS[args.command]
+    parsed, errors = _parse_lines(args.input)
+    rows = [{"graph6": text, "n": g.order, **row(g)} for text, g in parsed]
+    if args.format == "json":
+        _write(_json_text({"command": args.command, "results": rows, "errors": errors}))
     else:
         _line_errors(errors)
-        _write((_csv if fmt == "csv" else _table)(rows, columns))
-
-
-def _cmd_count(args) -> int:
-    parsed, errors = _parse_lines(args.input)
-    rows = [{"graph6": text, "n": g.order, **count(g)._asdict()} for text, g in parsed]
-    _emit_rows(args.format, "count", rows, ("graph6", "n", "phi", "phi_max", "psi"), errors)
+        _write((_csv if args.format == "csv" else _table)(rows, ("graph6", "n", *columns)))
     return 1 if errors else 0
 
 
@@ -237,8 +243,8 @@ def _cmd_enumerate(args) -> int:
                    "truncated": truncated, "sets": masks[:limit] if truncated else masks}
 
     if args.format == "json":
-        _json_results("enumerate", [{**r, "sets": list(map(_members, r["sets"]))}
-                                    for r in families()], errors)
+        results = [{**r, "sets": list(map(_members, r["sets"]))} for r in families()]
+        _write(_json_text({"command": "enumerate", "results": results, "errors": errors}))
         return 1 if errors else 0
     # csv and table rows are written as each family is found, so only one
     # family is held at a time
@@ -253,19 +259,6 @@ def _cmd_enumerate(args) -> int:
             print(f"{r['graph6']}: truncated at {len(r['sets'])} of {r['phi']} sets",
                   file=sys.stderr)
     _write(header)
-    return 1 if errors else 0
-
-
-def _cmd_max(args) -> int:
-    parsed, errors = _parse_lines(args.input)
-    rows = []
-    for text, g in parsed:
-        best = sorted(maximum_dissociation_set(g))
-        rows.append(
-            {"graph6": text, "n": g.order, "psi": len(best),
-             "vertices": " ".join(map(str, best))}
-        )
-    _emit_rows(args.format, "max", rows, ("graph6", "n", "psi", "vertices"), errors)
     return 1 if errors else 0
 
 
@@ -286,19 +279,13 @@ def _verify_table(reports: list) -> Iterator[str]:
 
 
 def _cmd_verify(args) -> int:
-    suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
+    suites = _SUITES if args.suite == "all" else (args.suite,)
     # each suite is looked up on the module, so a rebound cli.verify_* runs
     cli = sys.modules[__name__]
     reports = []
     for suite in suites:
-        if suite == "bounds":
-            reports.append(cli.verify_asymptotic_bounds(order_max=args.order_max, seed=args.seed))
-        elif suite == "families":
-            reports.append(cli.verify_family_values(max_t=args.t_max))
-        elif suite == "recurrences":
-            reports.append(cli.verify_recurrences(pivot_trials=args.trials, seed=args.seed))
-        elif suite == "paths-cycles":
-            reports.append(cli.verify_path_cycle_bounds(n_max=args.n_max))
+        fn, options = _SUITES[suite]
+        reports.append(getattr(cli, fn)(**options(args)))
 
     total_violations = sum(len(r.violations) for r in reports)
     if args.format == "json":
@@ -339,28 +326,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
 
+    per_graph = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    per_graph.add_argument("input", nargs="?", default="-", help="graph6 file, or - for stdin")
+
     parser = argparse.ArgumentParser(
         prog="dissoc",
         description="Count, enumerate and verify maximal dissociation sets of small graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[formatted],
+    p = sub.add_parser("count", parents=[per_graph],
                        help="phi, phi' and the dissociation number per input graph")
-    p.add_argument("input", nargs="?", default="-", help="graph6 file, or - for stdin")
-    p.set_defaults(func=_cmd_count)
+    p.set_defaults(func=_cmd_rows)
 
-    p = sub.add_parser("enumerate", parents=[formatted],
+    p = sub.add_parser("enumerate", parents=[per_graph],
                        help="list every maximal dissociation set per input graph")
-    p.add_argument("input", nargs="?", default="-", help="graph6 file, or - for stdin")
     p.add_argument("--limit", type=_at_least(0), default=None,
                    help="truncate listings after this many sets")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("max", parents=[formatted],
+    p = sub.add_parser("max", parents=[per_graph],
                        help="one maximum dissociation set per input graph")
-    p.add_argument("input", nargs="?", default="-", help="graph6 file, or - for stdin")
-    p.set_defaults(func=_cmd_max)
+    p.set_defaults(func=_cmd_rows)
 
     p = sub.add_parser("gen", help="emit named family graphs as graph6")
     p.add_argument(
@@ -371,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", parents=[formatted], help="run a verification suite")
-    p.add_argument("suite", choices=VERIFY_SUITES)
+    p.add_argument("suite", choices=(*_SUITES, "all"))
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument("--order-max", type=_at_least(0), default=6,
                    help="largest order for exhaustive bound sweeps (default 6, at most "
@@ -391,9 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Failures that stop a whole command rather than one input line: an
 # unreadable input file, a bad gen spec or a gen graph past graph6's short
 # form, an oversized or over-budget verify run.
-_COMMAND_ERRORS = (
-    OSError, SpecGrammarError, FamilySpecError, Graph6Error, TimeLimitError, UnsupportedSizeError
-)
+_COMMAND_ERRORS = (OSError, FamilySpecError, Graph6Error, TimeLimitError, UnsupportedSizeError)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -25,7 +25,7 @@ class TimeLimitError(RuntimeError):
 
 
 class FamilySpecError(ValueError):
-    """Family parameters violate a construction constraint."""
+    """A family spec is malformed or its parameters violate a construction constraint."""
 
 
 def edge_pairs(order: int) -> list[tuple[int, int]]:

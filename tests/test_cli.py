@@ -26,7 +26,8 @@ from dissoc import (
     serialize_graph6,
 )
 from dissoc import cli, extremal
-from dissoc.cli import _T0, _T1, _T2, _T3, main, parse_family_string, SpecGrammarError
+from dissoc.cli import _T0, _T1, _T2, _T3, main, parse_family_string
+from dissoc.graphs import FamilySpecError
 from dissoc.oracle import _members
 
 
@@ -54,7 +55,7 @@ def test_parse_family_strings():
     ["", "path", "path:x", "path:1,2", "frob:3", "union:cycle:4", "union:()"],
 )
 def test_grammar_rejects_bad_specs(text):
-    with pytest.raises(SpecGrammarError):
+    with pytest.raises(FamilySpecError):
         parse_family_string(text)
 
 
@@ -423,19 +424,32 @@ def test_verify_csv_equals_a_csv_writer_reference(monkeypatch, capsys):
 
 
 def test_verify_runs_the_suite_bound_on_the_cli_module(monkeypatch, capsys):
-    real = cli.verify_family_values  # resolved through cli's module __getattr__
-    assert real is extremal.verify_family_values
     calls = []
 
-    def recorded(**options):
-        calls.append(options)
-        return real(**options)
+    def recorder(name):
+        real = getattr(cli, name)  # resolved through cli's module __getattr__
+        assert real is getattr(extremal, name)
 
-    monkeypatch.setattr(cli, "verify_family_values", recorded)
-    code, out, _ = run_cli(["verify", "families", "--t-max", "1"],
-                           monkeypatch=monkeypatch, capsys=capsys)
+        def recorded(**options):
+            calls.append((name, options))
+            return real(**options)
+        return recorded
+
+    for name in ("verify_asymptotic_bounds", "verify_family_values",
+                 "verify_recurrences", "verify_path_cycle_bounds"):
+        monkeypatch.setattr(cli, name, recorder(name))
+    code, out, _ = run_cli(
+        ["verify", "all", "--order-max", "2", "--t-max", "1", "--n-max", "5",
+         "--trials", "3", "--seed", "7"],
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
     assert code == 0 and "families: pass" in out
-    assert calls == [{"max_t": 1}]
+    assert calls == [
+        ("verify_asymptotic_bounds", {"order_max": 2, "seed": 7}),
+        ("verify_family_values", {"max_t": 1}),
+        ("verify_recurrences", {"pivot_trials": 3, "seed": 7}),
+        ("verify_path_cycle_bounds", {"n_max": 5}),
+    ]
     with pytest.raises(AttributeError):
         cli.verify_nothing
 

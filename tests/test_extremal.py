@@ -250,17 +250,20 @@ def test_sweep_rejects_negative_order():
         verify_asymptotic_bounds(order_max=-2)
 
 
-def test_sweep_report_script_prints_one_row_per_order():
+@pytest.mark.parametrize(
+    "filt, scanned", [("triangle-free", "388"), ("triangle-free+connected", "207")]
+)
+def test_sweep_report_script_prints_one_row_per_order(filt, scanned):
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, str(root / "scripts" / "sweep_report.py"),
-         "--orders", "5", "--filter", "triangle-free", "--workers", "2"],
+         "--orders", "5", "--filter", filt, "--workers", "2"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    n, scanned, best, seconds, classes = proc.stdout.splitlines()[-1].split()
-    assert (n, scanned, best) == ("5", "388", "8")
+    n, labeled, best, seconds, classes = proc.stdout.splitlines()[-1].split()
+    assert (n, labeled, best) == ("5", scanned, "8")
     float(seconds)
     assert classes == canonical_form(complete_bipartite_graph(2, 3)) == "DFw"
 
