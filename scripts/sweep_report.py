@@ -45,7 +45,8 @@ FILTERS = {f.label(): f for f in (SweepFilter(t, c) for t in (False, True) for c
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--orders", type=parse_orders, default="1-7",
                         help="range like 4-7 or list like 4,5,6")
     parser.add_argument("--filter", choices=sorted(FILTERS), default="all")

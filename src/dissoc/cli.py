@@ -100,12 +100,12 @@ def parse_family_string(text: str) -> Graph:
     if ":" not in text:
         raise FamilySpecError(f"expected kind:params, got {text!r}")
     kind, _, params = text.partition(":")
+    if kind not in _FAMILIES:
+        raise FamilySpecError(f"unknown family kind {kind!r} in {text!r}")
     try:
         numbers = [int(tok) for tok in params.split(",")]
     except ValueError:
         raise FamilySpecError(f"non-integer parameter in {text!r}") from None
-    if kind not in _FAMILIES:
-        raise FamilySpecError(f"unknown family kind {kind!r} in {text!r}")
     arity, builder = _FAMILIES[kind]
     if len(numbers) != arity:
         raise FamilySpecError(

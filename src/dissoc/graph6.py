@@ -6,8 +6,9 @@ significant bit first, zero-padded in the last byte, every byte offset by 63.
 Column k packs the pairs (i, k), i = 0 most significant, so the data bits are
 the columns concatenated and comparing column lists compares graph6 strings;
 canonical._least searches over these columns.  `_spell` is the one writer of
-data bytes.  A first byte of 126 (``~``) starts graph6's long form (n >= 63),
-which both directions reject with the same message.
+data bytes and `parse_graph6` the one reader; no other module knows the pair
+order.  A first byte of 126 (``~``) starts graph6's long form (n >= 63), which
+both directions reject with the same message.
 """
 
 from __future__ import annotations
@@ -70,5 +71,16 @@ def parse_graph6(text: str | bytes) -> Graph:
     pad = expect * 6 - nbits
     if bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits in final graph6 byte")
-    # an edge mask holds pair k at bit k: read the data bits last pair first
-    return Graph.from_edge_mask(order, int(f"{bits >> pad:0{nbits}b}"[::-1], 2))
+    bits >>= pad
+    adj = [0] * order
+    for k in range(order - 1, 0, -1):  # the last column is the lowest k bits
+        column = bits & ((1 << k) - 1)
+        bits >>= k
+        kb = 1 << k
+        while column:  # bit k-1-i of column k is the pair (i, k)
+            b = column & -column
+            column ^= b
+            i = k - b.bit_length()
+            adj[i] |= kb
+            adj[k] |= 1 << i
+    return Graph(order, tuple(adj))

@@ -28,11 +28,6 @@ class FamilySpecError(ValueError):
     """A family spec is malformed or its parameters violate a construction constraint."""
 
 
-def edge_pairs(order: int) -> list[tuple[int, int]]:
-    """All vertex pairs of an `order`-vertex graph in column-major order."""
-    return [(i, j) for j in range(1, order) for i in range(j)]
-
-
 class _Frozen:
     """Base of the package's immutable value types, in place of a frozen
     dataclass (importing dataclasses also imports inspect, ast, dis and
@@ -112,39 +107,6 @@ class Graph(_Frozen):
             adj[j] |= 1 << i
         return cls(order, tuple(adj))
 
-    @classmethod
-    def from_edge_mask(cls, order: int, mask: int) -> "Graph":
-        """Build from a column-major upper-triangle edge bitmask."""
-        nbits = order * (order - 1) // 2
-        if mask >> nbits:
-            raise ValueError(f"edge mask has bits beyond the {nbits} vertex pairs")
-        adj = [0] * order
-        for k in range(1, order):
-            # the pairs (i, k), i < k, are k bits from k(k-1)/2 on, i ascending
-            low = mask >> k * (k - 1) // 2 & ((1 << k) - 1)
-            adj[k] = low
-            kb = 1 << k
-            while low:
-                ib = low & -low
-                low ^= ib
-                adj[ib.bit_length() - 1] |= kb
-        return cls(order, tuple(adj))
-
-    def edge_mask(self) -> int:
-        """Column-major upper-triangle edge bitmask (inverse of from_edge_mask)."""
-        mask = 0
-        for k, (i, j) in enumerate(edge_pairs(self.order)):
-            if (self.adj[i] >> j) & 1:
-                mask |= 1 << k
-        return mask
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    @property
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for i in range(self.order):
             m = self.adj[i] >> (i + 1)
@@ -175,11 +137,8 @@ class Graph(_Frozen):
             parts.append(comp)
         return parts
 
-    def component_count(self) -> int:
-        return len(self.components())
-
     def is_connected(self) -> bool:
-        return self.order <= 1 or self.component_count() == 1
+        return self.order <= 1 or len(self.components()) == 1
 
 
 # Named families.  Vertex labelling conventions: paths/cycles run 0-1-2-...,

@@ -1,7 +1,8 @@
-"""Labeled-graph oracles: for the class generator, the class predicate of a
-labeled graph, the walk over every labeled graph by vertex addition and the
-relabellings of one graph; for the in-place searches on a vertex mask, G - S
-built as a new relabelled graph."""
+"""Labeled-graph oracles: the edge mask of a labeled graph, one bit per vertex
+pair; for the class generator, the class predicate of a labeled graph, the
+walk over every labeled graph by vertex addition and the relabellings of one
+graph; for the in-place searches on a vertex mask, G - S built as a new
+relabelled graph."""
 
 from itertools import permutations
 from typing import Iterable
@@ -15,6 +16,23 @@ def edge_index(i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return j * (j - 1) // 2 + i
+
+
+def edge_pairs(order: int) -> list[tuple[int, int]]:
+    """All vertex pairs of an `order`-vertex graph, listed by edge_index."""
+    return [(i, j) for j in range(1, order) for i in range(j)]
+
+
+def graph_of_mask(order: int, mask: int) -> Graph:
+    """The graph whose edge mask is `mask`: bit edge_index(i, j) is the pair {i, j}."""
+    pairs = edge_pairs(order)
+    assert not mask >> len(pairs), "edge mask has bits beyond the vertex pairs"
+    return Graph.from_edges(order, (p for k, p in enumerate(pairs) if mask >> k & 1))
+
+
+def edge_mask(g: Graph) -> int:
+    """The edge mask of g, the inverse of graph_of_mask."""
+    return sum(1 << edge_index(i, j) for i, j in g.edges())
 
 
 def admits(filt: SweepFilter, order: int, adj) -> bool:

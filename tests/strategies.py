@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 
-from dissoc import Graph
+from labeled import graph_of_mask
 
 
 @st.composite
@@ -11,7 +11,7 @@ def graphs(draw, min_order: int = 0, max_order: int = 7):
     n = draw(st.integers(min_order, max_order))
     nbits = n * (n - 1) // 2
     mask = draw(st.integers(0, (1 << nbits) - 1)) if nbits else 0
-    return Graph.from_edge_mask(n, mask)
+    return graph_of_mask(n, mask)
 
 
 @st.composite

@@ -32,6 +32,8 @@ from dissoc import (
 )
 from dissoc import extremal
 
+from labeled import graph_of_mask
+
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -127,14 +129,14 @@ def test_criterion_5_oracle_equivalence():
     graphs_checked = 0
     for n in range(6):
         for mask in range(1 << (n * (n - 1) // 2)):
-            g = Graph.from_edge_mask(n, mask)
+            g = graph_of_mask(n, mask)
             graphs_checked += 1
             if enumerate_maximal(g) != enumerate_maximal_bruteforce(g):
                 mismatches += 1
     rng = random.Random(20240901)
     for trial in range(500):
         n = 6 + trial % 7
-        g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+        g = graph_of_mask(n, rng.getrandbits(n * (n - 1) // 2))
         graphs_checked += 1
         if enumerate_maximal(g) != enumerate_maximal_bruteforce(g):
             mismatches += 1

@@ -28,7 +28,7 @@ from dissoc import (
 from dissoc.branching import _component_families, _pivot_partition, candidate_masks
 from dissoc.cli import parse_family_string
 
-from labeled import delete_vertices_mapped
+from labeled import delete_vertices_mapped, graph_of_mask
 from strategies import graphs
 
 
@@ -58,7 +58,7 @@ def test_equivalence_on_all_graphs_up_to_order_4():
     for n in range(5):
         nbits = n * (n - 1) // 2
         for mask in range(1 << nbits):
-            g = Graph.from_edge_mask(n, mask)
+            g = graph_of_mask(n, mask)
             assert enumerate_maximal(g) == enumerate_maximal_bruteforce(g)
 
 
@@ -66,7 +66,7 @@ def test_equivalence_on_random_graphs():
     rng = random.Random(99)
     for _ in range(60):
         n = rng.randint(5, 10)
-        g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+        g = graph_of_mask(n, rng.getrandbits(n * (n - 1) // 2))
         oracle = enumerate_maximal_bruteforce(g)
         assert enumerate_maximal(g) == oracle
         psi = max(map(len, oracle))
@@ -82,7 +82,7 @@ def test_equivalence_on_relabelled_disjoint_unions():
         blocks, want = [], rng.randint(2, 3)
         while len(blocks) < want:
             n = rng.randint(3, 5)
-            b = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            b = graph_of_mask(n, rng.getrandbits(n * (n - 1) // 2))
             if count(b).phi >= 2:
                 blocks.append(b)
         blocks += rng.choice([[], [complete_graph(1)], [complete_graph(2)]])
@@ -267,7 +267,7 @@ def _oracle_masks(g):
 def test_leaves_are_the_oracle_family_on_all_graphs_up_to_order_5():
     for n in range(6):
         for mask in range(1 << (n * (n - 1) // 2)):
-            g = Graph.from_edge_mask(n, mask)
+            g = graph_of_mask(n, mask)
             leaves = candidate_masks(g.order, g.adj)
             assert len(leaves) == len(set(leaves))
             assert sorted(leaves) == sorted(_oracle_masks(g))

@@ -47,7 +47,7 @@ from dissoc.extremal import (
     _within,
 )
 
-from labeled import admits, labeled_graphs as _graphs, relabellings
+from labeled import admits, graph_of_mask, labeled_graphs as _graphs, relabellings
 from strategies import graphs
 
 FILTERS = {
@@ -100,11 +100,11 @@ def test_generator_yields_exactly_the_admitted_graphs(name):
         masks = [mask for mask, _ in got]
         assert len(set(masks)) == len(masks)
         for mask, adj in got:
-            assert adj == Graph.from_edge_mask(order, mask).adj
+            assert adj == graph_of_mask(order, mask).adj
         expected = [
             mask
             for mask in range(1 << (order * (order - 1) // 2))
-            if admits(filt, order, Graph.from_edge_mask(order, mask).adj)
+            if admits(filt, order, graph_of_mask(order, mask).adj)
         ]
         assert sorted(masks) == expected
 
@@ -597,6 +597,19 @@ def test_sweep_report_script_rejects_bad_orders_with_one_error_line(args, messag
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr.splitlines()[-1]
+
+
+def test_sweep_report_help_keeps_the_usage_layout():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "sweep_report.py"), "--help"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "COLUMNS": "80"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "        [--filter all|triangle-free|connected|triangle-free+connected]" in (
+        proc.stdout.splitlines())
+    assert "--workers" not in proc.stdout
 
 
 def test_sweep_report_script_over_budget_prints_one_error_line(monkeypatch, capsys):

@@ -28,6 +28,7 @@ from dissoc import (
 from dissoc import oracle as oracle_module
 from dissoc.oracle import _members
 
+from labeled import graph_of_mask
 from strategies import graphs
 
 
@@ -226,7 +227,7 @@ def test_oracle_time_guard_raises_instead_of_truncating(monkeypatch):
 def test_oracle_agrees_with_the_enumerator_on_every_small_labeled_graph():
     for order in range(6):
         for mask in range(1 << (order * (order - 1) // 2)):
-            g = Graph.from_edge_mask(order, mask)
+            g = graph_of_mask(order, mask)
             c = count(g)
             assert (
                 len(enumerate_maximal_bruteforce(g)),
@@ -253,8 +254,8 @@ def test_multiplicativity_over_disjoint_unions():
     rng = random.Random(7)
     for _ in range(40):
         na, nb = rng.randint(1, 8), rng.randint(1, 8)
-        a = Graph.from_edge_mask(na, rng.getrandbits(na * (na - 1) // 2))
-        b = Graph.from_edge_mask(nb, rng.getrandbits(nb * (nb - 1) // 2))
+        a = graph_of_mask(na, rng.getrandbits(na * (na - 1) // 2))
+        b = graph_of_mask(nb, rng.getrandbits(nb * (nb - 1) // 2))
         phi_a = len(enumerate_maximal_bruteforce(a))
         phi_b = len(enumerate_maximal_bruteforce(b))
         assert len(enumerate_maximal_bruteforce(disjoint_union(a, b))) == phi_a * phi_b

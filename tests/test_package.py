@@ -28,6 +28,9 @@ def test_removed_layers_stay_removed():
         with pytest.raises(AttributeError):
             getattr(dissoc, name)
     assert dissoc.SweepFilter._fields == ("triangle_free", "connected_only")
+    assert not hasattr(dissoc.graphs, "edge_pairs")
+    for name in ("from_edge_mask", "edge_mask", "degree", "edge_count", "component_count"):
+        assert not hasattr(dissoc.Graph, name)
 
 
 # Run in a fresh interpreter: pytest and hypothesis import dataclasses
